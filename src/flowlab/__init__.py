@@ -59,7 +59,6 @@ from .flow import (
 )
 from .criteria import (
     CertifyConfig,
-    CurvatureData as _CurvatureData,  # noqa: F401  re-export convenience
     GrowthProfile,
     HpReport,
     ScalarField,

@@ -7,6 +7,10 @@ Conventions shared by every estimator here:
 
   * path k uses the Brownian stream (seed, stream0 + k); results are therefore
     deterministic for a given seed and independent of worker count;
+  * chunks start from ``flow.chunk_paths`` and are advanced by
+    ``flow.propagate`` (one explosion and domain-exit policy, see the flow
+    module); an estimator accumulates over the states it is yielded and
+    counts a path with an exploded member as truncated;
   * all members of a compact grid ride the same increments per path (common
     noise), which is what sup-over-K quantities require;
   * time integrals are left-endpoint Riemann sums on the step grid and
@@ -27,7 +31,7 @@ import numpy as np
 
 from .criteria import direction_sample
 from .errors import CapabilityError, ContractError
-from .flow import BrownianDriver, StepSchedule, Stepper, schedule_for
+from .flow import BrownianDriver, StepSchedule, Stepper, chunk_paths, propagate, schedule_for
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
 from .parallel import run_chunks
 from .systems import VectorFieldSystem
@@ -103,13 +107,6 @@ def _estimate_from_exponents(expo: Array, seed: int, truncated: int = 0) -> Mome
                           truncated=truncated, log_space=True)
 
 
-def _chunk_increments(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule) -> Array:
-    out = np.empty((hi - lo, sched.n_steps, driver.dim))
-    for k in range(lo, hi):
-        out[k - lo] = driver.for_path(k).increments(sched)
-    return out
-
-
 def _grid_array(grid) -> Array:
     g = np.asarray(grid, dtype=float)
     if g.ndim == 1:
@@ -144,58 +141,22 @@ def _log_opnorm(L: Array, U: Array) -> Array:
     return Lm[..., 0] + 0.5 * np.log(np.maximum(lam, 1e-300))
 
 
-class _FrameScan:
-    """Stream the coupled (x, frame) evolution for one chunk of paths.
-
-    State shapes: x (C, G, d); per-member log-lengths L (C, G, k) and unit
-    directions U (C, G, k, d).  Members are frozen once exploded.
-    """
-
-    def __init__(self, system: VectorFieldSystem, grid: Array, sched: StepSchedule,
-                 driver: BrownianDriver, lo: int, hi: int, r_expl: float = 1e6):
-        self.system = system
-        self.model = system.model
-        self.sched = sched
-        self.stepper = Stepper(system, r_expl=r_expl)
-        self.dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        G, d = grid.shape
-        frames = _grid_frames(system, grid)           # (G, k, d)
-        k = frames.shape[1]
-        self.C, self.G, self.k, self.d = C, G, k, d
-        self.x = np.broadcast_to(grid, (C, G, d)).copy()
-        self.U = np.broadcast_to(frames, (C, G, k, d)).copy()
-        self.L = np.zeros((C, G, k))
-        self.alive = np.ones((C, G), dtype=bool)
-        self.base_offset = self._metric_offset(self.x)
-
-    def _metric_offset(self, x):
-        return np.asarray(self.model.log_metric_factor(x))
-
-    def log_frame_opnorm(self) -> Array:
-        """(C, G) log of |T F| in the model metric, relative to the start."""
-        return _log_opnorm(self.L, self.U) + self._metric_offset(self.x) - self.base_offset
-
-    def step(self, i: int) -> None:
-        dB = self.dW[:, i][:, None, None, :]           # (C, 1, 1, m)
-        xk = self.x[:, :, None, :]                     # broadcast x over the frame
-        xb = np.broadcast_to(xk, self.U.shape).copy()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x1k, w = self.stepper.step_pair(xb, self.U, dB, self.sched.dt)
-            x1 = x1k[:, :, 0, :]
-            bad, _ = self.stepper.classify(x1)
-            keep = self.alive & ~bad
-            nw = vec_norm(w)
-            dL = np.where(nw > 0, np.log(np.maximum(nw, 1e-300)), 0.0)
-            keep3 = keep[:, :, None]
-            self.x = np.where(keep[:, :, None], x1, self.x)
-            self.U = np.where((keep3 & (nw > 0))[..., None],
-                              w / np.where(nw == 0.0, 1.0, nw)[..., None], self.U)
-            self.L = np.where(keep3, self.L + dL, self.L)
-            self.alive = keep
-
-    def truncated_paths(self) -> Array:
-        return ~self.alive.all(axis=1)
+def _frame_scan(system: VectorFieldSystem, grid: Array, sched: StepSchedule,
+                driver: BrownianDriver, lo: int, hi: int, r_expl: float = 1e6):
+    """Stream the coupled (x, frame) evolution of paths lo..hi-1 from a grid:
+    yield ``(state, lognorm)`` at step 0 and after every step, with x (C, G, d),
+    unit frame directions (C, G, k, d) and ``lognorm()`` the (C, G) log of
+    |T_xF| in the model metric, relative to the start."""
+    model = system.model
+    x, dW = chunk_paths(driver, lo, hi, sched, grid)
+    frames = _grid_frames(system, grid)                       # (G, k, d)
+    U = np.broadcast_to(frames, x.shape[:-1] + frames.shape[1:]).copy()
+    L = np.zeros(U.shape[:-1])                                # log-lengths (C, G, k)
+    base = np.asarray(model.log_metric_factor(x))
+    for s in propagate(Stepper(system, r_expl=r_expl), x, dW, sched.dt, v=U, unit=True):
+        if s.k:
+            L = np.where(s.alive[..., None], L + s.logw, L)
+        yield s, lambda L=L, s=s: _log_opnorm(L, s.v) + np.asarray(model.log_metric_factor(s.x)) - base
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +195,11 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):
-        scan = _FrameScan(system, grid, sched, driver, lo, hi, r_expl=r_expl)
-        run = scan.log_frame_opnorm()
-        for i in range(sched.n_steps):
-            scan.step(i)
-            cur = scan.log_frame_opnorm()
-            run = np.where(scan.alive, np.maximum(run, cur), run)
-        logv = scan.log_frame_opnorm() if terminal else run
-        return {"logv": logv, "trunc": scan.truncated_paths()}
+        run = -np.inf
+        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi, r_expl=r_expl):
+            cur = lognorm()
+            run = np.where(s.alive, np.maximum(run, cur), run)
+        return {"logv": cur if terminal else run, "trunc": ~s.alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -296,23 +254,22 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
     J = len(radii)
 
     def chunk(lo, hi):
-        scan = _FrameScan(system, grid, sched, driver, lo, hi)
-        C, G = scan.C, scan.G
-        stopped = np.zeros((C, J), dtype=bool)
-        value = np.zeros((C, G, J))
-        for i in range(sched.n_steps):
-            scan.step(i)
-            dist = vec_norm(scan.x - c)                      # (C, G)
-            logF = scan.log_frame_opnorm()
+        stopped = np.zeros((hi - lo, J), dtype=bool)
+        value = np.zeros((hi - lo, grid.shape[0], J))
+        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
+            if s.k == 0:
+                continue
+            dist = vec_norm(s.x - c)                          # (C, G)
+            logF = lognorm()
             # a member that explodes has left every radius
-            outside = (dist[:, :, None] > np.asarray(radii)) | (~scan.alive)[:, :, None]
+            outside = (dist[:, :, None] > np.asarray(radii)) | (~s.alive)[:, :, None]
             trig = outside.any(axis=1)                        # (C, J)
             newly = trig & ~stopped
-            if i < sched.n_steps - 1:                         # strict S_j < t
+            if s.k < sched.n_steps:                           # strict S_j < t
                 with np.errstate(over="ignore"):
                     value = np.where(newly[:, None, :], np.exp(logF)[:, :, None], value)
             stopped |= newly
-        return {"value": value, "trunc": scan.truncated_paths()}
+        return {"value": value, "trunc": ~s.alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -349,33 +306,25 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
     """
     if theta < 0:
         raise ContractError("theta must be nonnegative")
-    x0 = np.asarray(x0, dtype=float)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     horizon = sched.horizon
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        stepper = Stepper(system)
-        x = np.broadcast_to(x0, (C, x0.shape[-1])).copy()
-        alive = np.ones(C, dtype=bool)
-        integral = np.zeros(C)
-        lse = np.full(C, -np.inf)
+        x, dW = chunk_paths(driver, lo, hi, sched, x0)
+        integral = np.zeros(hi - lo)
+        lse = np.full(hi - lo, -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                fx = np.asarray(f(x), dtype=float)
-                integral = np.where(alive, integral + fx * sched.dt, integral)
-                lse = np.where(alive,
+            for s in propagate(Stepper(system), x, dW, sched.dt):
+                if s.k == sched.n_steps:
+                    break
+                fx = np.asarray(f(s.x), dtype=float)
+                integral = np.where(s.alive, integral + fx * sched.dt, integral)
+                lse = np.where(s.alive,
                                np.logaddexp(lse, theta * horizon * fx + np.log(sched.dt)),
                                lse)
-                x1 = stepper.step_x(x, dW[:, i], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                x = np.where(keep[:, None], x1, x)
-                alive = keep
         return {"expo": theta * integral, "jensen_log": lse - np.log(horizon),
-                "trunc": ~alive}
+                "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -435,22 +384,13 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     ladder = [float(n) for n in radius_ladder]
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        stepper = Stepper(system)
-        x = np.broadcast_to(x0, (C, x0.shape[-1])).copy()
-        alive = np.ones(C, dtype=bool)
-        rmax = np.asarray(radial(x)).copy()
+        x, dW = chunk_paths(driver, lo, hi, sched, x0)
+        rmax = -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                x1 = stepper.step_x(x, dW[:, i], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                x = np.where(keep[:, None], x1, x)
-                alive = keep
-                r = np.where(alive, np.asarray(radial(x)), np.inf)
-                rmax = np.maximum(rmax, r)
-        return {"r_final": np.asarray(radial(x)), "r_max": rmax, "trunc": ~alive}
+            for s in propagate(Stepper(system), x, dW, sched.dt):
+                r = np.asarray(radial(s.x))
+                rmax = np.maximum(rmax, np.where(s.alive, r, np.inf))
+        return {"r_final": r, "r_max": rmax, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -511,14 +451,12 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):
-        scan = _FrameScan(system, grid, sched, driver, lo, hi)
-        snaps = np.zeros((scan.C, scan.G, len(steps)))
-        for i in range(sched.n_steps):
-            scan.step(i)
-            for h_idx, s in enumerate(steps):
-                if s == i + 1:
-                    snaps[:, :, h_idx] = scan.log_frame_opnorm()
-        return {"snaps": snaps, "trunc": scan.truncated_paths()}
+        snaps = np.zeros((hi - lo, grid.shape[0], len(steps)))
+        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
+            for h_idx, step in enumerate(steps):
+                if step == s.k > 0:
+                    snaps[:, :, h_idx] = lognorm()
+        return {"snaps": snaps, "trunc": ~s.alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -613,23 +551,14 @@ def estimate_girsanov_one_completeness(system: VectorFieldSystem, grid, t: float
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        G = grid.shape[0]
-        stepper = Stepper(system)
-        x = np.broadcast_to(grid, (C, G, grid.shape[1])).copy()
-        alive = np.ones((C, G), dtype=bool)
-        integral = np.zeros((C, G))
+        x, dW = chunk_paths(driver, lo, hi, sched, grid)
+        integral = np.zeros(x.shape[:-1])
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                fx = f(x)
-                integral = np.where(alive, integral + fx * sched.dt, integral)
-                x1 = stepper.step_x(x, dW[:, i][:, None, :], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                x = np.where(keep[..., None], x1, x)
-                alive = keep
-        return {"expo": 0.5 * integral, "trunc": ~alive.all(axis=1)}
+            for s in propagate(Stepper(system), x, dW, sched.dt):
+                if s.k == sched.n_steps:
+                    break
+                integral = np.where(s.alive, integral + f(s.x) * sched.dt, integral)
+        return {"expo": 0.5 * integral, "trunc": ~s.alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())

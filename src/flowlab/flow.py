@@ -11,10 +11,12 @@ Common noise: all members of a batch passed to one integration call consume
 the same Brownian increments.  That is the flow coupling used everywhere in
 flowlab, from curve transport to variance-collapsed finite differences.
 
-Explosion is declared when the model's escape coordinate exceeds a finite
-radius (default 1e6) or the state leaves floating-point range; exploded
-members are frozen and never updated again.  Stopping times are resolved to
-grid points, a bias of order dt.
+Every path is advanced by one kernel, :func:`propagate`, under one policy: a
+member explodes when the model's escape coordinate exceeds a finite radius
+(default 1e6) or the state leaves floating-point range, and is then frozen at
+its last finite state; a member that leaves the admissible set (a punctured
+model's exclusion ball) is recorded with its first exit step but keeps moving.
+Stopping times are resolved to grid points, a bias of order dt.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class StepSchedule:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 1:
-            raise ContractError("schedule needs dt > 0 and n_steps >= 1")
+        if not (np.isfinite(self.dt) and self.dt > 0) or self.n_steps < 1:
+            raise ContractError("schedule needs a finite dt > 0 and n_steps >= 1")
 
     @property
     def horizon(self) -> float:
@@ -59,9 +61,14 @@ class StepSchedule:
 
 
 def schedule_for(t: float, dt: float) -> StepSchedule:
+    """Grid of step dt ending at t, which must be a whole number of steps."""
+    if not (np.isfinite(t) and np.isfinite(dt) and dt > 0 and np.isfinite(t / dt)):
+        raise ContractError("horizon and step must be finite, with dt > 0")
     n = int(round(t / dt))
     if n < 1:
         raise ContractError("horizon shorter than one step")
+    if abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise ContractError(f"horizon {t!r} is not a whole number of steps of {dt!r}")
     return StepSchedule(dt=dt, n_steps=n)
 
 
@@ -136,12 +143,11 @@ def Horizon(t: float) -> StopRule:
 class Stepper:
     """Heun stepping with explosion bookkeeping, shared by every estimator."""
 
-    def __init__(self, system: VectorFieldSystem, r_expl: float = DEFAULT_EXPLOSION_RADIUS,
-                 reproject: bool = True):
+    def __init__(self, system: VectorFieldSystem, r_expl: float = DEFAULT_EXPLOSION_RADIUS):
         self.system = as_stratonovich(system)
         self.model: ManifoldModel = system.model
         self.r_expl = float(r_expl)
-        self.embedded = isinstance(self.model, EmbeddedModel) and reproject
+        self.embedded = isinstance(self.model, EmbeddedModel)
 
     def step_x(self, x: Array, dB: Array, dt: float) -> Array:
         s = self.system
@@ -181,6 +187,81 @@ class Stepper:
         return exploded, domain_exit
 
 
+@dataclass
+class PathState:
+    """State of a batch after ``k`` steps of :func:`propagate`."""
+
+    k: int
+    x: Array                     # (..., d)
+    v: Optional[Array]           # (..., d), or a frame (..., r, d) of r vectors
+    alive: Array                 # (...,) not exploded
+    explosion_step: Array        # (...,) n_steps + 1 if never
+    exit_step: Array             # (...,) first inadmissible step, n_steps + 1 if never
+    logw: Optional[Array] = None  # unit mode: log|w| of step k (None at k = 0)
+
+
+def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = False):
+    """Yield the :class:`PathState` of a batch at step 0 and after every Heun
+    step under the increments dW (n_steps, ..., m), applying the module's
+    explosion and domain-exit policy; dW[k] broadcasts against the batch.
+
+    A tangent v shaped like x is stepped with the pair scheme; a v with one
+    more axis is a frame (..., r, d) riding its point's noise, classified once
+    per point.  ``unit=True`` renormalizes v after every step and reports the
+    step's log|w| as ``logw`` (a zero vector stays zero, log|w| = 0).  States
+    are never modified in place.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != stepper.system.dim:
+        raise ContractError(f"points of dimension {x.shape[-1]}, system of dimension {stepper.system.dim}")
+    frame = v is not None and v.ndim == x.ndim + 1
+    alive = np.ones(x.shape[:-1], dtype=bool)
+    expl_step = exit_step = np.full(alive.shape, len(dW) + 1, dtype=int)
+    yield PathState(0, x, v, alive, expl_step, exit_step)
+    logw = None
+    for k in range(len(dW)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if v is None:
+                x1 = stepper.step_x(x, dW[k], dt)
+            elif frame:
+                xb = np.broadcast_to(x[..., None, :], v.shape).copy()
+                x1, v1 = stepper.step_pair(xb, v, dW[k][..., None, :], dt)
+                x1 = x1[..., 0, :]
+            else:
+                x1, v1 = stepper.step_pair(x, v, dW[k], dt)
+            bad, out = stepper.classify(x1)
+            if bad.any():
+                expl_step = np.where(alive & bad, k + 1, expl_step)
+            if out.any():    # exit_step > k: no exit recorded yet, so the first one is kept
+                exit_step = np.where(alive & out & (exit_step > k), k + 1, exit_step)
+            keep = alive & ~bad
+            x = np.where(keep[..., None], x1, x)
+            if v is not None:
+                keep_v = keep[..., None, None] if frame else keep[..., None]
+                if unit:
+                    nw = vec_norm(v1)
+                    logw = np.where(nw > 0, np.log(np.maximum(nw, UNDERFLOW_FLOOR)), 0.0)
+                    v = np.where(keep_v & (nw > 0)[..., None],
+                                 v1 / np.where(nw == 0.0, 1.0, nw)[..., None], v)
+                else:
+                    v = np.where(keep_v, v1, v)
+            alive = keep
+        yield PathState(k + 1, x, v, alive, expl_step, exit_step, logw)
+
+
+def chunk_paths(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule, x):
+    """Start points (C, d) or (C, G, d) of Monte Carlo paths lo..hi-1 from a
+    point or grid x, and their increments (n_steps, C, m) or (n_steps, C, 1, m).
+    Path k draws from ``driver.for_path(k)`` whatever the chunking; the points
+    of a grid share their path's noise."""
+    x = np.asarray(x, dtype=float)
+    dW = np.empty((hi - lo, sched.n_steps, driver.dim))
+    for k in range(lo, hi):
+        dW[k - lo] = driver.for_path(k).increments(sched)
+    xs = np.broadcast_to(x, (hi - lo,) + x.shape).copy()
+    return xs, np.expand_dims(np.moveaxis(dW, 1, 0), tuple(range(2, x.ndim + 1)))
+
+
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -194,7 +275,7 @@ class FlowResult:
     exploded: Array              # (B,) bool
     explosion_step: Array        # (B,) int, n_steps + 1 if never
     domain_exit: Array           # (B,) bool
-    domain_exit_step: Array      # (B,) int
+    domain_exit_step: Array      # (B,) int, first inadmissible step, n_steps + 1 if never
 
     @property
     def n_members(self) -> int:
@@ -225,6 +306,12 @@ def _as_members(x0) -> tuple:
     raise ContractError("initial points must be a point or a batch of points")
 
 
+def _flow_fields(sched: StepSchedule, states: Array, last: PathState) -> dict:
+    return dict(times=sched.times(), states=states, exploded=~last.alive,
+                explosion_step=last.explosion_step,
+                domain_exit=last.exit_step <= sched.n_steps, domain_exit_step=last.exit_step)
+
+
 def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
                    driver: BrownianDriver, r_expl: float = DEFAULT_EXPLOSION_RADIUS) -> FlowResult:
     """Integrate the flow from one point or a common-noise batch of points.
@@ -233,35 +320,12 @@ def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
     """
     if driver.dim != system.noise_dim:
         raise ContractError("driver dimension does not match system noise dimension")
-    members, squeeze = _as_members(x0)
+    members, _ = _as_members(x0)
     system.model.check_admissible(members)
-    stepper = Stepper(system, r_expl=r_expl)
-    dW = driver.increments(sched)
-    B, d = members.shape
-    states = np.empty((sched.n_steps + 1, B, d))
-    states[0] = members
-    alive = np.ones(B, dtype=bool)
-    exploded = np.zeros(B, dtype=bool)
-    domain_exit = np.zeros(B, dtype=bool)
-    expl_step = np.full(B, sched.n_steps + 1, dtype=int)
-    exit_step = np.full(B, sched.n_steps + 1, dtype=int)
-    x = members.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(sched.n_steps):
-            x1 = stepper.step_x(x, dW[k], sched.dt)
-            bad, out = stepper.classify(x1)
-            newly_bad = alive & bad
-            newly_out = alive & out
-            exploded |= newly_bad
-            domain_exit |= newly_out
-            expl_step[newly_bad] = k + 1
-            exit_step[newly_out] = k + 1
-            x = np.where((alive & ~newly_bad)[:, None], x1, x)
-            alive = alive & ~newly_bad
-            states[k + 1] = x
-    return FlowResult(times=sched.times(), states=states, exploded=exploded,
-                      explosion_step=expl_step, domain_exit=domain_exit,
-                      domain_exit_step=exit_step)
+    states = np.empty((sched.n_steps + 1,) + members.shape)
+    for s in propagate(Stepper(system, r_expl=r_expl), members, driver.increments(sched), sched.dt):
+        states[s.k] = s.x
+    return FlowResult(**_flow_fields(sched, states, s))
 
 
 def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSchedule,
@@ -286,43 +350,15 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     B, d = members.shape
     n = sched.n_steps
     states = np.empty((n + 1, B, d))
-    states[0] = members
-    alive = np.ones(B, dtype=bool)
-    exploded = np.zeros(B, dtype=bool)
-    domain_exit = np.zeros(B, dtype=bool)
-    expl_step = np.full(B, n + 1, dtype=int)
-    exit_step = np.full(B, n + 1, dtype=int)
-    x = members.copy()
 
     if mode == "direct":
         vs = np.empty((n + 1, B, d))
-        vs[0] = vs0
-        v = vs0.copy()
-        underflow = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n):
-                x1, v1 = stepper.step_pair(x, v, dW[k], sched.dt)
-                bad, out = stepper.classify(x1)
-                newly_bad = alive & bad
-                newly_out = alive & out
-                exploded |= newly_bad
-                domain_exit |= newly_out
-                expl_step[newly_bad] = k + 1
-                exit_step[newly_out] = k + 1
-                keep = (alive & ~newly_bad)[:, None]
-                x = np.where(keep, x1, x)
-                v = np.where(keep, v1, v)
-                alive = alive & ~newly_bad
-                states[k + 1] = x
-                vs[k + 1] = v
-        nv = vec_norm(vs[-1])
-        nz = vec_norm(vs0) > 0
-        if np.any(nz & (nv < UNDERFLOW_FLOOR)):
-            underflow = True
+        for s in propagate(stepper, members, dW, sched.dt, v=vs0):
+            states[s.k] = s.x
+            vs[s.k] = s.v
+        underflow = bool(np.any((vec_norm(vs0) > 0) & (vec_norm(vs[-1]) < UNDERFLOW_FLOOR)))
         log_norms = np.log(np.maximum(vec_norm(vs), UNDERFLOW_FLOOR))
-        return DerivativeFlowResult(times=sched.times(), states=states, exploded=exploded,
-                                    explosion_step=expl_step, domain_exit=domain_exit,
-                                    domain_exit_step=exit_step, mode=mode, vs=vs,
+        return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode, vs=vs,
                                     log_norms=log_norms, underflow_advice=underflow)
 
     # log_radial
@@ -331,57 +367,30 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     zero_members = n0 == 0.0
     u = np.where(zero_members[:, None], 0.0, vs0 / np.where(n0 == 0.0, 1.0, n0)[:, None])
     L = np.where(zero_members, -np.inf, np.log(np.where(n0 == 0.0, 1.0, n0)))
-    logs = np.empty((n + 1, B))
+    logs, Ms, QVs, As = (np.empty((n + 1, B)) for _ in range(4))
     dirs = np.empty((n + 1, B, d))
-    Ms = np.zeros((n + 1, B))
-    QVs = np.zeros((n + 1, B))
-    As = np.zeros((n + 1, B))
-    logs[0] = L
-    dirs[0] = u
-    M = np.zeros(B)
-    QV = np.zeros(B)
-    acc = np.zeros(B)
+    M = QV = acc = np.zeros(B)
     m = system.noise_dim
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n):
-            # left-endpoint Ito accumulators for M and <M, M>
+        for s in propagate(stepper, members, dW, sched.dt, v=u, unit=True):
+            if s.k:
+                L = np.where(s.alive, L + s.logw, L)
+                M = np.where(s.alive, M + dM, M)
+                QV = np.where(s.alive, QV + dQV, QV)
+                # a_t fills in so that log|v| = log|v0| + M - QV/2 + a holds exactly
+                acc = np.where(s.alive, acc + s.logw - dM + 0.5 * dQV, acc)
+            states[s.k], logs[s.k], dirs[s.k] = s.x, L, s.v
+            Ms[s.k], QVs[s.k], As[s.k] = M, QV, acc
+            if s.k == n:
+                break
+            # left-endpoint Ito accumulators for M and <M, M> over the next step
             g = np.zeros((B, m))
             for i in range(m):
-                e = np.zeros(m)
-                e[i] = 1.0
-                ji = sys_strat.diffusion_jacobian(x, e, u)
-                g[:, i] = np.sum(ji * u, axis=-1)
-            dM = np.sum(g * dW[k], axis=-1)
+                ji = sys_strat.diffusion_jacobian(s.x, np.eye(m)[i], s.v)
+                g[:, i] = np.sum(ji * s.v, axis=-1)
+            dM = np.sum(g * dW[s.k], axis=-1)
             dQV = np.sum(g * g, axis=-1) * sched.dt
-            x1, w = stepper.step_pair(x, u, dW[k], sched.dt)
-            nw = vec_norm(w)
-            dL = np.where(nw > 0, np.log(np.maximum(nw, UNDERFLOW_FLOOR)), 0.0)
-            bad, out = stepper.classify(x1)
-            newly_bad = alive & bad
-            newly_out = alive & out
-            exploded |= newly_bad
-            domain_exit |= newly_out
-            expl_step[newly_bad] = k + 1
-            exit_step[newly_out] = k + 1
-            keep = alive & ~newly_bad
-            keepc = keep[:, None]
-            x = np.where(keepc, x1, x)
-            u = np.where(keepc & (nw > 0)[:, None], w / np.where(nw == 0.0, 1.0, nw)[:, None], u)
-            L = np.where(keep, L + dL, L)
-            M = np.where(keep, M + dM, M)
-            QV = np.where(keep, QV + dQV, QV)
-            # a_t fills in so that log|v| = log|v0| + M - QV/2 + a holds exactly
-            acc = np.where(keep, acc + dL - dM + 0.5 * dQV, acc)
-            alive = alive & ~newly_bad
-            states[k + 1] = x
-            logs[k + 1] = L
-            dirs[k + 1] = u
-            Ms[k + 1] = M
-            QVs[k + 1] = QV
-            As[k + 1] = acc
-    return DerivativeFlowResult(times=sched.times(), states=states, exploded=exploded,
-                                explosion_step=expl_step, domain_exit=domain_exit,
-                                domain_exit_step=exit_step, mode=mode,
+    return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode,
                                 log_norms=logs, directions=dirs, martingale=Ms,
                                 quad_variation=QVs, drift_accumulator=As)
 

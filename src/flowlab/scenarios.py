@@ -398,6 +398,8 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
+    if n_paths < 1:
+        raise ContractError("the convergence study needs n_paths >= 1")
     dts = sorted(float(d) for d in dts)
     n_fine = int(round(t / dts[0]))
     factors = []
@@ -411,27 +413,37 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     m = scenario.system.noise_dim
     driver = BrownianDriver(seed, m)
 
-    # draw candidates until n_paths survive the singularity filter
-    dW = np.empty((max_candidates, n_fine, m))
+    # draw candidates in path order, in blocks of 256, until n_paths survive
+    # the singularity filter; keep only the survivors' increments and end states
     fine = StepSchedule(dt=dts[0], n_steps=n_fine)
-    for k in range(max_candidates):
-        dW[k] = driver.for_path(k).increments(fine)
-    oracle = scenario.oracle(x0, np.moveaxis(dW, 0, 1), dts[0])
-    keep = ~oracle.singular
-    if oracle.min_denominator is not None:
-        keep &= oracle.min_denominator > filter_threshold
-    idx = np.nonzero(keep)[0][:n_paths]
-    if idx.size < n_paths:
+    kept_dW, kept_T, n_kept = [], [], 0
+    for lo in range(0, max_candidates, 256):
+        if n_kept >= n_paths:
+            break
+        block = np.stack([driver.for_path(k).increments(fine)
+                          for k in range(lo, min(lo + 256, max_candidates))])
+        oracle = scenario.oracle(x0, np.moveaxis(block, 0, 1), dts[0])
+        keep = ~oracle.singular
+        if oracle.min_denominator is not None:
+            keep &= oracle.min_denominator > filter_threshold
+        idx = np.nonzero(keep)[0][:n_paths - n_kept]
+        kept_dW.append(block[idx])
+        kept_T.append(oracle.states[-1][idx])
+        n_kept += idx.size
+    if n_kept < n_paths:
         raise ContractError("not enough paths survive the singularity filter")
-    dW = dW[idx]
-    exact_T = oracle.states[-1][idx]
+    dW = np.concatenate(kept_dW)
+    exact_T = np.concatenate(kept_T)
 
+    # the ladder steps without propagate's freezing on purpose: a diverging
+    # scheme must show up as a non-finite RMS error, which frozen paths would
+    # turn into a finite number
     stepper = Stepper(scenario.system)
     rms = []
     for d, f in zip(dts, factors):
         steps = n_fine // f
-        dWc = dW.reshape(len(idx), steps, f, m).sum(axis=2)
-        x = np.broadcast_to(x0, (len(idx), d_state)).copy()
+        dWc = dW.reshape(n_paths, steps, f, m).sum(axis=2)
+        x = np.broadcast_to(x0, (n_paths, d_state)).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
                 x = stepper.step_x(x, dWc[:, i], d)
@@ -439,7 +451,7 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
         rms.append(float(np.sqrt(np.mean(err ** 2))))
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return {"dts": dts, "rms_errors": rms, "slope": slope,
-            "n_paths": int(idx.size), "filter_threshold": filter_threshold,
+            "n_paths": int(n_paths), "filter_threshold": filter_threshold,
             "seed": seed, "t": t}
 
 

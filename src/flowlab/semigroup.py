@@ -14,8 +14,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .estimators import MomentEstimate, _chunk_increments, _mean_estimate
-from .flow import BrownianDriver, Stepper, schedule_for
+from .estimators import MomentEstimate, _mean_estimate
+from .flow import BrownianDriver, Stepper, chunk_paths, propagate, schedule_for
 from .geometry import vec_norm
 from .parallel import run_chunks
 from .systems import VectorFieldSystem
@@ -55,25 +55,14 @@ def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
                  n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                  workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of f(F_t(x)) 1{t < explosion}."""
-    x = np.asarray(x, dtype=float)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        stepper = Stepper(system)
-        xs = np.broadcast_to(x, (C, x.shape[-1])).copy()
-        alive = np.ones(C, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                x1 = stepper.step_x(xs, dW[:, i], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                xs = np.where(keep[:, None], x1, xs)
-                alive = keep
-        vals = np.where(alive, np.asarray(obs.f(xs), dtype=float), 0.0)
-        return {"vals": vals, "trunc": ~alive}
+        for s in propagate(Stepper(system), *chunk_paths(driver, lo, hi, sched, x), sched.dt):
+            pass
+        vals = np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0)
+        return {"vals": vals, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     return _mean_estimate(out["vals"], seed, truncated=int(out["trunc"].sum()))
@@ -84,28 +73,16 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of df(F_t(x), T_xF_t(v)) 1{t < explosion} using the
     coupled derivative flow; exactly linear in v under a shared seed."""
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
-        stepper = Stepper(system)
-        xs = np.broadcast_to(x, (C, x.shape[-1])).copy()
-        vs = np.broadcast_to(v, (C, x.shape[-1])).copy()
-        alive = np.ones(C, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                x1, v1 = stepper.step_pair(xs, vs, dW[:, i], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                xs = np.where(keep[:, None], x1, xs)
-                vs = np.where(keep[:, None], v1, vs)
-                alive = keep
-        vals = np.where(alive, np.asarray(obs.df(xs, vs), dtype=float), 0.0)
-        return {"vals": vals, "trunc": ~alive}
+        xs, dW = chunk_paths(driver, lo, hi, sched, x)
+        for s in propagate(Stepper(system), xs, dW, sched.dt, v=np.broadcast_to(v, xs.shape).copy()):
+            pass
+        vals = np.where(s.alive, np.asarray(obs.df(s.x, s.v), dtype=float), 0.0)
+        return {"vals": vals, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     return _mean_estimate(out["vals"], seed, truncated=int(out["trunc"].sum()))
@@ -153,48 +130,32 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
                                stream0: int = 0, workers: int = 1) -> GradientCheckReport:
     """Compare (P_t f(x + eps v) - P_t f(x)) / eps with delta P_t(df)(v).
 
-    All ensembles (base, shifted, derivative) consume identical increments per
-    path.  The report carries per-epsilon finite differences, the Richardson
-    trend of the discrepancy (slope of log |FD(eps) - rhs| vs log eps, omitted
-    when the discrepancy is at floating-point level), and the pass/fail of the
-    3-sigma consistency test at the smallest epsilon.
+    All ensembles (base, shifted, derivative) consume the same increments per
+    path, drawn once per chunk.  The report carries per-epsilon finite
+    differences, the Richardson trend of the discrepancy (slope of
+    log |FD(eps) - rhs| vs log eps, omitted when the discrepancy is at
+    floating-point level), and the pass/fail of the 3-sigma consistency test
+    at the smallest epsilon.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     eps_ladder = [float(e) for e in eps_ladder]
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
-    E = len(eps_ladder)
-    d = x.shape[-1]
     starts = np.stack([x] + [x + e * v for e in eps_ladder])   # (1+E, d)
 
     def chunk(lo, hi):
-        dW = _chunk_increments(driver, lo, hi, sched)
-        C = hi - lo
+        xs, dW = chunk_paths(driver, lo, hi, sched, starts)   # (C, 1+E, d), (n, C, 1, m)
         stepper = Stepper(system)
-        xs = np.broadcast_to(starts, (C, 1 + E, d)).copy()
-        vs = np.zeros((C, d))
-        vs[:] = v
+        for s in propagate(stepper, xs, dW, sched.dt):
+            pass
         xb = xs[:, 0, :]
-        alive = np.ones((C, 1 + E), dtype=bool)
-        alive_pair = np.ones(C, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(sched.n_steps):
-                x1 = stepper.step_x(xs, dW[:, i][:, None, :], sched.dt)
-                bad, _ = stepper.classify(x1)
-                keep = alive & ~bad
-                xs = np.where(keep[..., None], x1, xs)
-                alive = keep
-                xb1, v1 = stepper.step_pair(xb, vs, dW[:, i], sched.dt)
-                badp, _ = stepper.classify(xb1)
-                keepp = alive_pair & ~badp
-                xb = np.where(keepp[:, None], xb1, xb)
-                vs = np.where(keepp[:, None], v1, vs)
-                alive_pair = keepp
-        f_vals = np.where(alive, np.asarray(obs.f(xs), dtype=float), 0.0)  # (C, 1+E)
-        delta = np.where(alive_pair, np.asarray(obs.df(xb, vs), dtype=float), 0.0)
+        for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
+            pass
+        f_vals = np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0)  # (C, 1+E)
+        delta = np.where(p.alive, np.asarray(obs.df(p.x, p.v), dtype=float), 0.0)
         return {"f_vals": f_vals, "delta": delta,
-                "trunc": ~(alive.all(axis=1) & alive_pair)}
+                "trunc": ~(s.alive.all(axis=1) & p.alive)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -233,23 +194,13 @@ def estimate_nested_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x,
     ensemble from each endpoint to s.  Used for semigroup-property checks."""
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim)
-    x = np.asarray(x, dtype=float)
-    stepper = Stepper(system)
-    dW = _chunk_increments(driver, 0, n_outer, sched)
-    xs = np.broadcast_to(x, (n_outer, x.shape[-1])).copy()
-    alive = np.ones(n_outer, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(sched.n_steps):
-            x1 = stepper.step_x(xs, dW[:, i], sched.dt)
-            bad, _ = stepper.classify(x1)
-            keep = alive & ~bad
-            xs = np.where(keep[:, None], x1, xs)
-            alive = keep
+    for outer in propagate(Stepper(system), *chunk_paths(driver, 0, n_outer, sched, x), sched.dt):
+        pass
     inner_means = np.zeros(n_outer)
     for j in range(n_outer):
-        if not alive[j]:
+        if not outer.alive[j]:
             continue
-        est = estimate_Ptf(system, obs, xs[j], s, n_inner,
+        est = estimate_Ptf(system, obs, outer.x[j], s, n_inner,
                            seed=seed, dt=dt, stream0=(j + 1) * 1_000_003)
         inner_means[j] = est.value
-    return _mean_estimate(inner_means, seed, truncated=int((~alive).sum()))
+    return _mean_estimate(inner_means, seed, truncated=int((~outer.alive).sum()))

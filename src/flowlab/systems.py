@@ -292,7 +292,3 @@ def isometry_defect(system: VectorFieldSystem, x: Array) -> float:
     G = B @ B.T
     return float(np.max(vec_norm(G @ frame - frame, axis=0)))
 
-
-def linear_growth_envelope(x: Array) -> Array:
-    """(1 + |x|^2)^{1/2}, the coefficient growth envelope used by the flat-space tests."""
-    return np.sqrt(1.0 + np.sum(np.square(np.asarray(x, dtype=float)), axis=-1))

@@ -83,13 +83,32 @@ class TestReports:
         assert (a / "stopped-moments.json").read_bytes() == (b / "stopped-moments.json").read_bytes()
         assert (a / "stopped-moments.csv").read_bytes() == (b / "stopped-moments.csv").read_bytes()
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        base = ["derivative-moments", "--scenario", "ou(1)", "--paths", "2500",
-                "--dt", "0.01", "--t", "0.5"]
+    # every chunked estimator, with more paths than one chunk holds, so that
+    # the fan-out really splits the work
+    @pytest.mark.parametrize("base", [
+        pytest.param(["derivative-moments", "--scenario", "ou(1)", "--paths", "2500",
+                      "--dt", "0.01", "--t", "0.5"], id="derivative-moments"),
+        pytest.param(["stopped-moments", "--scenario", "kunita", "--paths", "1100",
+                      "--dt", "0.01", "--t", "0.3", "--format", "both"],
+                     id="stopped-moments"),
+        pytest.param(["exp-functional", "--scenario", "ou(2)", "--paths", "1100",
+                      "--dt", "0.01", "--t", "0.5"], id="exp-functional"),
+        pytest.param(["radial", "--scenario", "ou(2)", "--paths", "1100",
+                      "--dt", "0.01", "--t", "0.5", "--k0", "1.0"], id="radial"),
+        pytest.param(["exponent", "--scenario", "ou(1)", "--paths", "1100",
+                      "--dt", "0.01", "--format", "both"], id="exponent"),
+        pytest.param(["semigroup-check", "--scenario", "ou(1)", "--paths", "1100",
+                      "--dt", "0.01", "--t", "0.5"], id="semigroup-check"),
+    ])
+    def test_workers_do_not_change_bytes(self, tmp_path, base):
         a, b = tmp_path / "w1", tmp_path / "w8"
         assert run_cli(base + ["--workers", "1", "--out", str(a)]).returncode == 0
         assert run_cli(base + ["--workers", "8", "--out", str(b)]).returncode == 0
-        assert (a / "derivative-moments.json").read_bytes() == (b / "derivative-moments.json").read_bytes()
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert f"{base[0]}.json" in names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_env_seed_override(self, tmp_path):
         out = tmp_path / "env"

@@ -1,0 +1,80 @@
+"""Boundary contracts of the public entry points: bad input raises
+ContractError, never a raw Python error, a silent broadcast or a silently
+rounded horizon."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowlab import (
+    BrownianDriver,
+    ContractError,
+    builtin,
+    estimate_Ptf,
+    estimate_sup_derivative_moment,
+    integrate_flow,
+    observable,
+    schedule_for,
+)
+from flowlab.flow import StepSchedule
+from flowlab.parallel import run_chunks
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.integers(max_value=0))
+def test_run_chunks_needs_a_path(n_paths):
+    with pytest.raises(ContractError):
+        run_chunks(n_paths, lambda lo, hi: {"k": np.arange(lo, hi)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(max_value=0))
+def test_estimators_need_a_path(n_paths):
+    ou = builtin("ou(1)")
+    with pytest.raises(ContractError):
+        estimate_Ptf(ou.system, observable(lambda x: x[..., 0]), [1.0], 0.1, n_paths, seed=0, dt=0.01)
+    with pytest.raises(ContractError):
+        estimate_sup_derivative_moment(ou.system, [1.0], 1.0, 0.1, n_paths, seed=0, dt=0.01)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4))
+def test_point_dimension_must_match_the_system(dim, n_components):
+    if n_components == dim:
+        n_components += 1
+    system = builtin(f"ou({dim})").system
+    x = np.ones(n_components)
+    with pytest.raises(ContractError):
+        integrate_flow(system, x[None, :], schedule_for(0.02, 0.01), BrownianDriver(0, dim))
+    with pytest.raises(ContractError):
+        estimate_Ptf(system, observable(lambda y: y[..., 0]), x, 0.02, 3, seed=0, dt=0.01)
+    with pytest.raises(ContractError):
+        estimate_sup_derivative_moment(system, x, 1.0, 0.02, 3, seed=0, dt=0.01)
+
+
+@given(st.integers(1, 10_000), st.floats(1e-4, 1.0))
+def test_whole_number_of_steps_accepted(n, dt):
+    sched = schedule_for(n * dt, dt)
+    assert sched.n_steps == n
+    assert sched.dt == dt
+
+
+@given(st.integers(1, 1000), st.floats(1e-3, 1.0), st.floats(0.01, 0.49), st.sampled_from([-1, 1]))
+def test_fractional_horizon_rejected(n, dt, frac, sign):
+    with pytest.raises(ContractError):
+        schedule_for((n + sign * frac) * dt, dt)
+
+
+@given(NON_FINITE | st.floats(max_value=0.0), st.booleans())
+def test_bad_horizon_or_step_rejected(bad, as_step):
+    with pytest.raises(ContractError):
+        schedule_for(1.0, bad) if as_step else schedule_for(bad, 0.1)
+
+
+@given(NON_FINITE | st.floats(max_value=0.0))
+def test_step_schedule_needs_finite_positive_step(dt):
+    with pytest.raises(ContractError):
+        StepSchedule(dt=dt, n_steps=3)

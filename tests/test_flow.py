@@ -22,7 +22,7 @@ from flowlab import (
     transport_curve,
     write_trajectory_csv,
 )
-from flowlab.flow import StepSchedule
+from flowlab.flow import Stepper, propagate
 from flowlab.scenarios import _translation_system
 
 
@@ -111,6 +111,46 @@ class TestIntegrateFlow:
         res = integrate_flow(sys0, np.array([0.6, 0.0]), sched, BrownianDriver(4, 2))
         assert res.domain_exit[0]
         assert not res.exploded[0]
+        # the path is outside at several steps; the first one is recorded
+        outside = np.nonzero(~model.admissible(res.states[:, 0]))[0]
+        assert outside.size >= 2
+        assert res.domain_exit_step[0] == outside[0]
+        # leaving the domain does not freeze the path
+        k = outside[0]
+        assert not np.array_equal(res.states[k + 1, 0], res.states[k, 0])
+        assert not np.array_equal(res.states[-1, 0], res.states[k, 0])
+
+
+class TestPropagate:
+    def test_frame_vectors_ride_their_points_noise(self):
+        # a frame steps like each of its vectors stepped on its own
+        scn = builtin("sphere(3)")
+        x0 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        frames = np.stack([scn.model.tangent_frame(p).T for p in x0])   # (2, 2, 3)
+        sched = schedule_for(0.2, 1e-2)
+        dW = BrownianDriver(3, 3).increments(sched)
+        stepper = Stepper(scn.system)
+        *_, framed = propagate(stepper, x0, dW, sched.dt, v=frames)
+        assert framed.alive.shape == (2,)
+        for j in range(frames.shape[1]):
+            *_, single = propagate(stepper, x0, dW, sched.dt, v=frames[:, j])
+            np.testing.assert_allclose(framed.x, single.x, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(framed.v[:, j], single.v, rtol=0, atol=1e-14)
+
+    def test_unit_mode_carries_the_log_growth(self):
+        scn = builtin("inversion_plane")
+        x0, v0 = np.array([[1.0, 0.0]]), np.array([[0.4, 0.1]])
+        sched = schedule_for(0.3, 1e-3)
+        dW = BrownianDriver(9, 2).increments(sched)
+        stepper = Stepper(scn.system)
+        *_, direct = propagate(stepper, x0, dW, sched.dt, v=v0)
+        log_growth = 0.0
+        for s in propagate(stepper, x0, dW, sched.dt, v=v0 / np.linalg.norm(v0), unit=True):
+            log_growth = log_growth + (s.logw if s.k else 0.0)
+            np.testing.assert_allclose(np.linalg.norm(s.v, axis=-1), 1.0, rtol=1e-14)
+        vT = np.linalg.norm(direct.v, axis=-1)
+        np.testing.assert_allclose(log_growth, np.log(vT / np.linalg.norm(v0)), rtol=1e-10)
+        np.testing.assert_allclose(s.v, direct.v / vT[:, None], rtol=1e-10)
 
 
 class TestDerivativeFlow:
