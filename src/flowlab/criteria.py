@@ -5,16 +5,21 @@ engine mapping certified bounds to completeness theorems.
 A word on semantics: sampling cannot prove a global inequality.  Every
 certificate issued here is labeled ``sampled-only`` evidence; "failed" means a
 diverging trend or an explicit witness was found on the sample set.
+
+Every condition is evaluated in one broadcast call over a ``SampleSet``: the
+points of all radius bands in band order with their tangent directions.
+Per-direction values are reduced to a per-point ratio (the max over kept
+directions), then to the per-band maxima, the global maximum and the first
+point that attains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import CapabilityError, ContractError
 from .geometry import (
@@ -59,27 +64,47 @@ ISOMETRY_TOL = 1e-6
 # deterministic sample sets
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def direction_sample(dim: int, n: int) -> Array:
-    """n unit directions in R^dim from an unscrambled Sobol set (deterministic)."""
+    """n unit directions in R^dim from an unscrambled Sobol set (deterministic).
+
+    Cached by ``(dim, n)``; the array is read-only.  scipy is imported on the
+    first call, so ``import flowlab`` does not load it.
+    """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=False)
     m = int(np.ceil(np.log2(2 * n + 8)))
     pts = eng.random_base2(m)[1:]  # drop the all-zeros point
     g = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
     nz = vec_norm(g) > 1e-9
     g = g[nz][:n]
-    return g / vec_norm(g)[..., None]
+    out = g / vec_norm(g)[..., None]
+    out.setflags(write=False)
+    return out
+
+
+def _directions_at(model: ManifoldModel, x: Array, n: int):
+    """Unit tangent directions at every point of x (..., d): the directions
+    (..., K, d) and the mask (..., K) of those that survive the tangent
+    projection (ambient Sobol directions projected for embedded models)."""
+    dirs = direction_sample(model.ambient_dim, n)
+    x = np.asarray(x, dtype=float)
+    shape = x.shape[:-1] + dirs.shape
+    if not isinstance(model, EmbeddedModel):
+        return np.broadcast_to(dirs, shape), np.ones(shape[:-1], dtype=bool)
+    proj = model.tangent_project(np.broadcast_to(x[..., None, :], shape), dirs)
+    norm = vec_norm(proj)
+    keep = norm > 1e-8
+    return proj / np.where(keep, norm, 1.0)[..., None], keep
 
 
 def tangent_directions(model: ManifoldModel, x: Array, n: int) -> Array:
-    """Unit tangent directions at x; ambient Sobol directions projected for
-    embedded models."""
-    dirs = direction_sample(model.ambient_dim, n)
-    if isinstance(model, EmbeddedModel):
-        dirs = model.tangent_project(np.broadcast_to(x, dirs.shape), dirs)
-        keep = vec_norm(dirs) > 1e-8
-        dirs = dirs[keep]
-        dirs = dirs / vec_norm(dirs)[..., None]
-    return dirs
+    """Unit tangent directions at the point x, shape (k, d); ambient Sobol
+    directions projected for embedded models."""
+    dirs, keep = _directions_at(model, x, n)
+    return dirs[keep]
 
 
 def sample_states(model: ManifoldModel, radii: Sequence[float], n_dirs: int) -> List[Array]:
@@ -119,6 +144,12 @@ def _covariant_column_jacobians(system: VectorFieldSystem, x: Array, v: Array) -
     return J
 
 
+def _grad_x_sq(system: VectorFieldSystem, x: Array, v: Array) -> Array:
+    """sum_i |grad X^i(v)|^2; |alpha(v, .)|_HS^2 for gradient systems."""
+    J = _covariant_column_jacobians(system, x, v)
+    return np.sum(J * J, axis=(-2, -1))
+
+
 def _z_field(system: VectorFieldSystem):
     """The Brownian-with-drift field Z = A^X and its directional derivative."""
     if system.z_drift is not None and system.z_drift_jacobian is not None:
@@ -132,13 +163,13 @@ def _z_field(system: VectorFieldSystem):
     return z, zjac
 
 
-def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> float:
+def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
     z, zjac = _z_field(system)
     dz = np.asarray(zjac(x, v), dtype=float)
     model = system.model
     if isinstance(model, EmbeddedModel):
         dz = model.tangent_project(x, dz)
-    return float(np.sum(dz * v, axis=-1))
+    return np.sum(dz * v, axis=-1)
 
 
 def _ricci_fn(model: ManifoldModel, curvature: Optional[CurvatureData]):
@@ -149,9 +180,20 @@ def _ricci_fn(model: ManifoldModel, curvature: Optional[CurvatureData]):
     return None
 
 
+def _hs_and_directional(J: Array, v: Array, p: float, nv2: Array) -> Array:
+    """sum |J^i|^2 + (p - 2) sum <J^i, v>^2 / |v|^2 for J stacked (..., dim, m)."""
+    hs = np.sum(J * J, axis=(-2, -1))
+    inner = np.einsum("...im,...i->...m", J, v)
+    qdir = np.sum(inner * inner, axis=-1)
+    return hs + (p - 2.0) * qdir / nv2
+
+
 def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
-            curvature: Optional[CurvatureData] = None) -> float:
+            curvature: Optional[CurvatureData] = None):
     """H_p(x)(v, v), the bilinear form driving d|v_t|^p.
+
+    x and v broadcast over leading axes (one pair per leading index); a single
+    pair gives a float, a batch an array of the leading shape.
 
     Backends:
       * ``euclidean`` (flat models): 2<DA v, v> + sum|DX^i v|^2
@@ -163,8 +205,8 @@ def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    nv2 = float(np.sum(v * v))
-    if nv2 == 0.0:
+    nv2 = np.sum(v * v, axis=-1)
+    if np.any(nv2 == 0.0):
         raise ContractError("H_p is evaluated at v != 0")
     model = system.model
     if backend == "auto":
@@ -178,49 +220,40 @@ def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
             raise CapabilityError("euclidean backend needs a flat model")
         s = as_ito(system)
         da = np.asarray(s.drift_jacobian(x, v), dtype=float)
-        J = s.column_jacobians(x, v)
-        hs = float(np.sum(J * J))
-        inner = np.einsum("...im,...i->...m", J, v)
-        qdir = float(np.sum(inner * inner))
-        return 2.0 * float(np.sum(da * v)) + hs + (p - 2.0) * qdir / nv2
-
-    if backend == "ricci":
+        h = 2.0 * np.sum(da * v, axis=-1) + _hs_and_directional(s.column_jacobians(x, v), v, p, nv2)
+    elif backend == "ricci":
         ric = _ricci_fn(model, curvature)
         if ric is None:
             raise CapabilityError("ricci backend needs Ricci curvature data")
-        defect = isometry_defect(system, x)
+        defect = np.max(isometry_defect(system, x))
         if defect > ISOMETRY_TOL:
             raise CapabilityError(f"system is not isometric at x (defect {defect:.2e})")
         J = _covariant_column_jacobians(system, x, v)
-        hs = float(np.sum(J * J))
-        inner = np.einsum("...im,...i->...m", J, v)
-        qdir = float(np.sum(inner * inner))
-        return (2.0 * _grad_z_quad(system, x, v) - float(ric(x, v))
-                + hs + (p - 2.0) * qdir / nv2)
-
-    if backend == "gauss":
+        h = (2.0 * _grad_z_quad(system, x, v) - np.asarray(ric(x, v), dtype=float)
+             + _hs_and_directional(J, v, p, nv2))
+    elif backend == "gauss":
         if not isinstance(model, EmbeddedModel):
             raise CapabilityError("gauss backend needs an embedded model")
         if not system.is_gradient:
             raise CapabilityError("gauss backend applies to gradient Brownian systems")
         avv = second_fundamental_form(model, x, v, v)
         frame = model.tangent_frame(x)
-        trace_alpha = np.zeros(model.ambient_dim)
-        a_hs = 0.0
-        for j in range(frame.shape[1]):
-            fj = frame[:, j]
+        trace_alpha = a_hs = 0.0
+        for j in range(frame.shape[-1]):
+            fj = frame[..., j]
             trace_alpha = trace_alpha + second_fundamental_form(model, x, fj, fj)
             avfj = second_fundamental_form(model, x, v, fj)
-            a_hs += float(np.sum(avfj * avfj))
-        return (-float(np.sum(avv * trace_alpha)) + 2.0 * a_hs
-                + (p - 2.0) * float(np.sum(avv * avv)) / nv2
-                + 2.0 * _grad_z_quad(system, x, v))
-
-    raise CapabilityError(f"unknown H_p backend {backend!r}")
+            a_hs = a_hs + np.sum(avfj * avfj, axis=-1)
+        h = (-np.sum(avv * trace_alpha, axis=-1) + 2.0 * a_hs
+             + (p - 2.0) * np.sum(avv * avv, axis=-1) / nv2
+             + 2.0 * _grad_z_quad(system, x, v))
+    else:
+        raise CapabilityError(f"unknown H_p backend {backend!r}")
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def eval_Htilde(system: VectorFieldSystem, x, v, backend: str = "auto",
-                curvature: Optional[CurvatureData] = None) -> float:
+                curvature: Optional[CurvatureData] = None):
     """The variant form with coefficient -2 on the directional term: the
     member of the affine family H_p at p = 0."""
     return eval_Hp(system, x, v, 0.0, backend=backend, curvature=curvature)
@@ -250,18 +283,14 @@ def hp_report(system: VectorFieldSystem, samples, p: float,
     """Evaluate H_p over (x, v) samples per backend and record the worst ratio
     H_p(v, v)/|v|^2; when two or more backends apply their max disagreement is
     reported."""
-    reports = []
-    tables = []
+    xs = np.array([np.ravel(x) for x, _ in samples], dtype=float)
+    vs = np.array([np.ravel(v) for _, v in samples], dtype=float)
+    reports, tables = [], []
     for b in backends:
-        vals, ratios = [], []
-        for x, v in samples:
-            h = eval_Hp(system, x, v, p, backend=b, curvature=curvature)
-            vals.append(float(h))
-            ratios.append(float(h / np.sum(np.square(v))))
+        vals = eval_Hp(system, xs, vs, p, backend=b, curvature=curvature)
         tables.append(vals)
-        reports.append(HpReport(backend=b, p=p,
-                                points=[list(np.ravel(x)) for x, _ in samples],
-                                values=vals, max_ratio=float(np.max(ratios))))
+        reports.append(HpReport(backend=b, p=p, points=xs.tolist(), values=vals.tolist(),
+                                max_ratio=float(np.max(vals / np.sum(vs * vs, axis=-1)))))
     if len(tables) >= 2:
         arr = np.array(tables)
         dis = float(np.max(np.abs(arr - arr[0])))
@@ -306,68 +335,168 @@ class GrowthProfile:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _condition_from_bands(name: str, band_pts: List[Array],
-                          ratio_fn: Callable[[Array], float]) -> ConditionCheck:
-    band_ratios, worst, worst_pt = [], -np.inf, None
-    for pts in band_pts:
-        band_worst = -np.inf
-        for x in pts:
-            r = float(ratio_fn(x))
-            if not np.isfinite(r):
-                r = np.inf
-            if r > band_worst:
-                band_worst = r
-            if r > worst:
-                worst, worst_pt = r, x
-        band_ratios.append(band_worst)
-    top, bottom = band_ratios[-1], band_ratios[0]
-    # a diverging trend: the far band holds the global max, dwarfs the near
-    # band, and is large in absolute terms (sign-crossing transients and
-    # finite-difference noise live below MIN_DIVERGENT_RATIO)
-    diverging = (not np.isfinite(worst)) or (
-        top > MIN_DIVERGENT_RATIO and top >= worst
-        and top > DIVERGENCE_FACTOR * max(bottom, 1e-6)
-    )
-    return ConditionCheck(name=name, constant=float(worst), worst_ratio=float(worst),
-                          worst_point=[] if worst_pt is None else [float(c) for c in np.ravel(worst_pt)],
-                          diverging=bool(diverging),
-                          band_ratios=[float(b) for b in band_ratios])
+@dataclass(frozen=True)
+class SampleSet:
+    """The points of all radius bands in band order, x (N, d), their unit
+    tangent directions (N, K, d) and the mask keep (N, K) of directions that
+    survived the tangent projection; band b starts at point starts[b]."""
+
+    x: Array
+    dirs: Array
+    keep: Array
+    starts: Array
+
+    @classmethod
+    def build(cls, model: ManifoldModel, radii: Sequence[float], n_directions: int) -> "SampleSet":
+        bands = sample_states(model, radii, n_directions)
+        if not bands:
+            raise ContractError("the sample set is empty: give at least one radius")
+        x = np.concatenate(bands)
+        dirs, keep = _directions_at(model, x, n_directions)
+        bare = ~keep.any(axis=-1)
+        if np.any(bare):
+            raise ContractError("no tangent direction survives the projection at sample point "
+                                f"{x[np.argmax(bare)].tolist()}")
+        starts = np.cumsum([0] + [len(b) for b in bands[:-1]])
+        return cls(x=x, dirs=dirs, keep=keep, starts=starts)
+
+    def sup_dirs(self, fn: Callable[[Array, Array], Array]) -> Array:
+        """Per point, the max of fn(x, v) over its kept directions, fn called
+        once on all (point, direction) pairs.  A non-finite value in any kept
+        direction makes the point's value +inf."""
+        i, k = np.nonzero(self.keep)
+        vals = np.broadcast_to(np.asarray(fn(self.x[i], self.dirs[i, k]), dtype=float), i.shape)
+        out = np.full(self.keep.shape, -np.inf)
+        out[i, k] = np.where(np.isfinite(vals), vals, np.inf)
+        return out.max(axis=-1)
+
+    def condition(self, name: str, ratio: Array) -> ConditionCheck:
+        """Reduce per-point ratios (non-finite read as +inf) to a check: the
+        band maxima, the global maximum and the first point attaining it."""
+        r = np.broadcast_to(np.asarray(ratio, dtype=float), self.x.shape[:1])
+        r = np.where(np.isfinite(r), r, np.inf)
+        band_ratios = np.maximum.reduceat(r, self.starts).tolist()
+        i = int(np.argmax(r))
+        worst = float(r[i])
+        top, bottom = band_ratios[-1], band_ratios[0]
+        # a diverging trend: the far band holds the global max, dwarfs the near
+        # band, and is large in absolute terms (sign-crossing transients and
+        # finite-difference noise live below MIN_DIVERGENT_RATIO)
+        diverging = (not np.isfinite(worst)) or (
+            top > MIN_DIVERGENT_RATIO and top >= worst
+            and top > DIVERGENCE_FACTOR * max(bottom, 1e-6)
+        )
+        return ConditionCheck(name=name, constant=worst, worst_ratio=worst,
+                              worst_point=self.x[i].tolist(), diverging=bool(diverging),
+                              band_ratios=band_ratios)
 
 
-def _sup_dirs(fn: Callable[[Array], float], dirs: Array) -> float:
-    return max(float(fn(v)) for v in dirs)
-
-
-def _coeff_norm_sq(system: VectorFieldSystem, x: Array) -> float:
+def _coeff_norm_sq(system: VectorFieldSystem, x: Array) -> Array:
     B = as_stratonovich(system).diffusion_columns(x)
-    return float(np.sum(B * B))
+    return np.sum(B * B, axis=(-2, -1))
 
 
-def _grad_x_norm_sq(system: VectorFieldSystem, x: Array, dirs: Array) -> float:
-    def one(v):
-        J = _covariant_column_jacobians(system, x, v)
-        return float(np.sum(J * J))
-    return _sup_dirs(one, dirs)
+def _flat_ito(system: VectorFieldSystem) -> VectorFieldSystem:
+    return system if isinstance(system.model, EmbeddedModel) else as_ito(system)
 
 
-def _r_term_fn(system: VectorFieldSystem, curvature: Optional[CurvatureData]):
-    """sum <R(X^i, v)X^i, v> as a callable, or None when unavailable.
+def _drift_quad(system: VectorFieldSystem) -> Callable[[Array, Array], Array]:
+    """(x, v) -> <DA v, v> with the Ito-form drift (flat models)."""
+    s = _flat_ito(system)
+    return lambda x, v: np.sum(s.drift_jacobian(x, v) * v, axis=-1)
 
-    Zero on flat models; -Ric(v, v) for isometric systems with Ricci data.
-    """
+
+def _hp_fn(system: VectorFieldSystem, p: float,
+           curvature: Optional[CurvatureData]) -> Callable[[Array, Array], Array]:
+    return lambda x, v: eval_Hp(system, x, v, p, curvature=curvature)
+
+
+def _has_r_term(system: VectorFieldSystem, curvature: Optional[CurvatureData]) -> bool:
+    return isinstance(system.model, (FlatModel, PuncturedFlatModel)) \
+        or _ricci_fn(system.model, curvature) is not None
+
+
+def _sup_drift_curvature(system: VectorFieldSystem, curvature: Optional[CurvatureData],
+                         S: SampleSet) -> Array:
+    """Per point, the sup over directions of 2<grad_v A^X, v> plus
+    sum_i <R(X^i, v)X^i, v>, which is zero on flat models and -Ric(v, v) for
+    isometric systems with Ricci data (isometry checked once per point)."""
     model = system.model
-    if isinstance(model, (FlatModel, PuncturedFlatModel)):
-        return lambda x, v: 0.0
-    ric = _ricci_fn(model, curvature)
-    if ric is None:
-        return None
+    a_x = effective_drift(system).a_x
+    ric = None if isinstance(model, (FlatModel, PuncturedFlatModel)) else _ricci_fn(model, curvature)
+    if ric is not None and np.any(isometry_defect(system, S.x) > ISOMETRY_TOL):
+        raise CapabilityError("curvature rewriting needs an isometric system")
 
-    def term(x, v):
-        if isometry_defect(system, x) > ISOMETRY_TOL:
-            raise CapabilityError("curvature rewriting needs an isometric system")
-        return -float(ric(x, v))
+    def quad(x, v):
+        da = fd_directional(a_x, x, v)
+        if isinstance(model, EmbeddedModel):
+            da = model.tangent_project(x, da)
+        rterm = 0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)
+        return 2.0 * np.sum(da * v, axis=-1) + rterm
 
-    return term
+    return S.sup_dirs(quad)
+
+
+def _linear_growth(system, S, epsilon, p, curvature):
+    x = S.x
+    r2 = np.sum(x * x, axis=-1)
+    s_ito = _flat_ito(system)
+    return [
+        S.condition("coeff_linear_growth", np.sqrt(_coeff_norm_sq(system, x)) / np.sqrt(1.0 + r2)),
+        S.condition("drift_radial_growth", np.sum(x * s_ito.drift(x), axis=-1) / (1.0 + r2)),
+    ]
+
+
+def _sublog_derivative(system, S, epsilon, p, curvature):
+    env = 1.0 + np.log1p(np.sum(S.x * S.x, axis=-1))
+    return [
+        S.condition("grad_X_sq_sublog", S.sup_dirs(partial(_grad_x_sq, system)) / env),
+        S.condition("grad_A_sublog", S.sup_dirs(_drift_quad(system)) / env),
+    ]
+
+
+def _epsilon_exponent(system, S, epsilon, p, curvature):
+    x = S.x
+    r2 = np.sum(x * x, axis=-1)
+    s_ito = _flat_ito(system)
+    cols = np.max(vec_norm(as_stratonovich(system).diffusion_columns(x), axis=-2), axis=-1)
+    return [
+        S.condition("coeff_columns_growth", cols / (1.0 + r2) ** (0.5 - epsilon)),
+        S.condition("drift_radial_growth",
+                    np.sum(x * s_ito.drift(x), axis=-1) / (1.0 + r2) ** (1.0 - epsilon)),
+        S.condition("column_jacobian_growth",
+                    S.sup_dirs(partial(_grad_x_sq, system)) / (1.0 + r2) ** epsilon),
+        S.condition("grad_A_growth", S.sup_dirs(_drift_quad(system)) / (1.0 + r2) ** epsilon),
+    ]
+
+
+def _pole_conditions(system, S, epsilon, p, curvature):
+    curvature = curvature if curvature is not None else CurvatureData()
+    a_x = effective_drift(system).a_x
+    r, dr, hess = pole_distance(system.model, curvature, S.x)
+    sublog = 1.0 + np.log1p(r)
+    conds = [
+        S.condition("coeff_vs_hessian_bound", _coeff_norm_sq(system, S.x) * hess / (1.0 + r)),
+        S.condition("effective_drift_radial", np.sum(dr * a_x(S.x), axis=-1) / (1.0 + r)),
+        S.condition("grad_X_sq_sublog_r", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+    ]
+    if _has_r_term(system, curvature):
+        conds.append(S.condition("drift_curvature_sublog_r",
+                                 _sup_drift_curvature(system, curvature, S) / sublog))
+    return conds
+
+
+def _h_bound(system, S, epsilon, p, curvature):
+    return [S.condition(f"H_{p:g}_upper_bound", S.sup_dirs(_hp_fn(system, p, curvature)))]
+
+
+_GROWTH_KINDS = {
+    "linear_growth": _linear_growth,
+    "sublog_derivative": _sublog_derivative,
+    "epsilon_exponent": _epsilon_exponent,
+    "pole_conditions": _pole_conditions,
+    "h_bound": _h_bound,
+}
 
 
 def check_growth(system: VectorFieldSystem, kind: str,
@@ -383,80 +512,10 @@ def check_growth(system: VectorFieldSystem, kind: str,
     (radial envelopes with the Hessian comparison bound) and ``h_bound``
     (sup H_p / |v|^2).  The verdict is evidence on samples, never a proof.
     """
-    model = system.model
-    band_pts = sample_states(model, radii, n_directions)
-    dirs_at = lambda x: tangent_directions(model, x, n_directions)
-    conds: List[ConditionCheck] = []
-
-    if kind == "linear_growth":
-        s_ito = as_ito(system) if not isinstance(model, EmbeddedModel) else system
-        conds.append(_condition_from_bands(
-            "coeff_linear_growth", band_pts,
-            lambda x: np.sqrt(_coeff_norm_sq(system, x)) / np.sqrt(1.0 + np.sum(x * x))))
-        conds.append(_condition_from_bands(
-            "drift_radial_growth", band_pts,
-            lambda x: float(np.sum(x * s_ito.drift(x))) / (1.0 + float(np.sum(x * x)))))
-    elif kind == "sublog_derivative":
-        s_ito = as_ito(system) if not isinstance(model, EmbeddedModel) else system
-        env = lambda x: 1.0 + np.log1p(float(np.sum(x * x)))
-        conds.append(_condition_from_bands(
-            "grad_X_sq_sublog", band_pts,
-            lambda x: _grad_x_norm_sq(system, x, dirs_at(x)) / env(x)))
-        conds.append(_condition_from_bands(
-            "grad_A_sublog", band_pts,
-            lambda x: _sup_dirs(lambda v: float(np.sum(s_ito.drift_jacobian(x, v) * v)), dirs_at(x)) / env(x)))
-    elif kind == "epsilon_exponent":
-        s_ito = as_ito(system) if not isinstance(model, EmbeddedModel) else system
-        half = 0.5 - epsilon
-        conds.append(_condition_from_bands(
-            "coeff_columns_growth", band_pts,
-            lambda x: float(np.max(vec_norm(as_stratonovich(system).diffusion_columns(x), axis=-2)))
-            / (1.0 + np.sum(x * x)) ** half))
-        conds.append(_condition_from_bands(
-            "drift_radial_growth", band_pts,
-            lambda x: float(np.sum(x * s_ito.drift(x))) / (1.0 + float(np.sum(x * x))) ** (1.0 - epsilon)))
-        conds.append(_condition_from_bands(
-            "column_jacobian_growth", band_pts,
-            lambda x: _grad_x_norm_sq(system, x, dirs_at(x)) / (1.0 + float(np.sum(x * x))) ** epsilon))
-        conds.append(_condition_from_bands(
-            "grad_A_growth", band_pts,
-            lambda x: _sup_dirs(lambda v: float(np.sum(s_ito.drift_jacobian(x, v) * v)), dirs_at(x))
-            / (1.0 + float(np.sum(x * x))) ** epsilon))
-    elif kind == "pole_conditions":
-        if curvature is None:
-            curvature = CurvatureData()
-        dec = effective_drift(system)
-        rterm = _r_term_fn(system, curvature)
-
-        def radial(x):
-            return pole_distance(model, curvature, x)
-
-        conds.append(_condition_from_bands(
-            "coeff_vs_hessian_bound", band_pts,
-            lambda x: _coeff_norm_sq(system, x) * radial(x)[2] / (1.0 + radial(x)[0])))
-        conds.append(_condition_from_bands(
-            "effective_drift_radial", band_pts,
-            lambda x: float(np.sum(radial(x)[1] * dec.a_x(x))) / (1.0 + radial(x)[0])))
-        conds.append(_condition_from_bands(
-            "grad_X_sq_sublog_r", band_pts,
-            lambda x: _grad_x_norm_sq(system, x, dirs_at(x)) / (1.0 + np.log1p(radial(x)[0]))))
-        if rterm is not None:
-            def cond4(x):
-                def quad(v):
-                    da = fd_directional(dec.a_x, x, v)
-                    if isinstance(model, EmbeddedModel):
-                        da = model.tangent_project(x, da)
-                    return 2.0 * float(np.sum(da * v)) + rterm(x, v)
-                return _sup_dirs(quad, dirs_at(x)) / (1.0 + np.log1p(radial(x)[0]))
-            conds.append(_condition_from_bands("drift_curvature_sublog_r", band_pts, cond4))
-    elif kind == "h_bound":
-        def ratio(x):
-            dirs = dirs_at(x)
-            return _sup_dirs(lambda v: eval_Hp(system, x, v, p, curvature=curvature), dirs)
-        conds.append(_condition_from_bands(f"H_{p:g}_upper_bound", band_pts, ratio))
-    else:
+    if kind not in _GROWTH_KINDS:
         raise ContractError(f"unknown growth profile kind {kind!r}")
-
+    S = SampleSet.build(system.model, radii, n_directions)
+    conds = _GROWTH_KINDS[kind](system, S, epsilon=epsilon, p=p, curvature=curvature)
     return GrowthProfile(kind=kind, conditions=conds, radii=[float(r) for r in radii],
                          n_directions=n_directions)
 
@@ -583,12 +642,10 @@ class CertifyConfig:
     curvature: Optional[CurvatureData] = None
 
 
-def _verdict_from_profile(theorem: str, profiles: Sequence[GrowthProfile]) -> TheoremVerdict:
-    conds = [c for pr in profiles for c in pr.conditions]
+def _verdict(theorem: str, conds: Sequence[ConditionCheck]) -> TheoremVerdict:
     bad = [c for c in conds if c.diverging or not np.isfinite(c.worst_ratio)]
-    status = "failed" if bad else "certified"
     return TheoremVerdict(
-        theorem=theorem, status=status,
+        theorem=theorem, status="failed" if bad else "certified",
         conditions=[c.to_dict() for c in conds],
         constants={c.name: c.constant for c in conds if np.isfinite(c.constant)},
         failing_sample=bad[0].worst_point if bad else None,
@@ -597,6 +654,11 @@ def _verdict_from_profile(theorem: str, profiles: Sequence[GrowthProfile]) -> Th
 
 def _flat_metric(model: ManifoldModel) -> bool:
     return isinstance(model, (FlatModel, PuncturedFlatModel)) and not isinstance(model, RescaledFlatModel)
+
+
+def _has_pole(model: ManifoldModel, curvature: CurvatureData) -> bool:
+    return (isinstance(model, EmbeddedModel) and model._pole_distance is not None) \
+        or curvature.pole is not None
 
 
 def _na(theorem: str, reason: str) -> TheoremVerdict:
@@ -613,82 +675,31 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     """
     model = system.model
     entries: List[TheoremVerdict] = []
-    incomplete = isinstance(model, PuncturedFlatModel)
-    rescaled = isinstance(model, RescaledFlatModel)
-    kw = dict(radii=config.radii, n_directions=config.n_directions, curvature=config.curvature)
-
     for theorem in config.theorems:
-        if incomplete:
+        handler = _HANDLERS.get(theorem)
+        if isinstance(model, PuncturedFlatModel):
             entries.append(_na(theorem, "underlying metric space is incomplete (puncture)"))
-            continue
-        if rescaled:
+        elif isinstance(model, RescaledFlatModel):
             entries.append(_na(theorem, "rescaled metric has no connection attached"))
-            continue
-        try:
-            if theorem == "Cor5.2":
-                entries.append(_certify_cor52(system, config, theorem))
-            elif theorem == "Thm5.1":
-                entries.append(_certify_thm51(system, config))
-            elif theorem == "Thm5.3":
-                prof = check_growth(system, "h_bound", p=1.0, **kw)
-                entries.append(_verdict_from_profile(theorem, [prof]))
-            elif theorem == "Thm6.2":
-                if not _flat_metric(model):
-                    entries.append(_na(theorem, "stated for flat space"))
-                else:
-                    profs = [check_growth(system, "linear_growth", **kw),
-                             check_growth(system, "sublog_derivative", **kw)]
-                    entries.append(_verdict_from_profile(theorem, profs))
-            elif theorem == "Cor6.3":
-                if not _flat_metric(model):
-                    entries.append(_na(theorem, "stated for flat space"))
-                else:
-                    prof = check_growth(system, "epsilon_exponent", epsilon=config.epsilon, **kw)
-                    entries.append(_verdict_from_profile(theorem, [prof]))
-            elif theorem == "Thm7.1":
-                entries.append(_certify_pole(system, config, theorem))
-            elif theorem == "Prop7.2":
-                entries.append(_certify_prop72(system, config))
-            elif theorem == "Thm8.1":
-                entries.append(_certify_thm81(system, config))
-            elif theorem == "Thm8.2":
-                entries.append(_certify_thm82(system, config))
-            elif theorem == "Cor8.3":
-                entries.append(_certify_cor83(system, config))
-            elif theorem == "Diffeo":
-                entries.append(_certify_diffeo(system, config))
-            else:
-                entries.append(_na(theorem, "unknown theorem id"))
-        except CapabilityError as exc:
-            entries.append(_na(theorem, str(exc)))
+        elif handler is None:
+            entries.append(_na(theorem, "unknown theorem id"))
+        else:
+            try:
+                entries.append(handler(system, config))
+            except CapabilityError as exc:
+                entries.append(_na(theorem, str(exc)))
     return VerdictReport(entries=entries)
 
 
-def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig, theorem: str) -> TheoremVerdict:
-    model = system.model
-    rterm = _r_term_fn(system, config.curvature)
-    if rterm is None:
-        return _na(theorem, "curvature term unavailable (need flat model or Ricci data)")
-    band_pts = sample_states(model, config.radii, config.n_directions)
-    dec = effective_drift(system)
-
-    c1 = _condition_from_bands(
-        "grad_X_bounded", band_pts,
-        lambda x: np.sqrt(_grad_x_norm_sq(system, x, tangent_directions(model, x, config.n_directions))))
-
-    def quad_ratio(x):
-        def quad(v):
-            da = fd_directional(dec.a_x, x, v)
-            if isinstance(model, EmbeddedModel):
-                da = model.tangent_project(x, da)
-            return 2.0 * float(np.sum(da * v)) + rterm(x, v)
-        return _sup_dirs(quad, tangent_directions(model, x, config.n_directions))
-
-    c2 = _condition_from_bands("drift_curvature_upper_bound", band_pts, quad_ratio)
-    prof = GrowthProfile(kind="cor5.2", conditions=[c1, c2],
-                         radii=[float(r) for r in config.radii],
-                         n_directions=config.n_directions)
-    return _verdict_from_profile(theorem, [prof])
+def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+    if not _has_r_term(system, config.curvature):
+        return _na("Cor5.2", "curvature term unavailable (need flat model or Ricci data)")
+    S = SampleSet.build(system.model, config.radii, config.n_directions)
+    return _verdict("Cor5.2", [
+        S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
+        S.condition("drift_curvature_upper_bound",
+                    _sup_drift_curvature(system, config.curvature, S)),
+    ])
 
 
 def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
@@ -697,72 +708,70 @@ def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     With f = c constant, the exponential-functional hypothesis holds
     automatically, so the certificate reduces to the two pointwise bounds.
     """
-    model = system.model
-    band_pts = sample_states(model, config.radii, config.n_directions)
+    S = SampleSet.build(system.model, config.radii, config.n_directions)
     p = config.p
-    cond_g = _condition_from_bands(
-        "grad_X_sq_bounded", band_pts,
-        lambda x: _grad_x_norm_sq(system, x, tangent_directions(model, x, config.n_directions)))
-
-    def h_ratio(x):
-        dirs = tangent_directions(model, x, config.n_directions)
-        return _sup_dirs(lambda v: eval_Hp(system, x, v, p, curvature=config.curvature), dirs) / (6.0 * p)
-
-    cond_h = _condition_from_bands("H_p_over_6p", band_pts, h_ratio)
-    verdict = _verdict_from_profile("Thm5.1", [GrowthProfile(
-        kind="thm5.1", conditions=[cond_g, cond_h],
-        radii=[float(r) for r in config.radii], n_directions=config.n_directions)])
+    cond_g = S.condition("grad_X_sq_bounded", S.sup_dirs(partial(_grad_x_sq, system)))
+    cond_h = S.condition("H_p_over_6p", S.sup_dirs(_hp_fn(system, p, config.curvature)) / (6.0 * p))
+    verdict = _verdict("Thm5.1", [cond_g, cond_h])
     if verdict.status == "certified":
         verdict.constants["f_constant"] = max(cond_g.constant, cond_h.constant, 0.0)
     return verdict
 
 
-def _certify_pole(system: VectorFieldSystem, config: CertifyConfig, theorem: str) -> TheoremVerdict:
+def _certify_thm53(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+    prof = check_growth(system, "h_bound", p=1.0, radii=config.radii,
+                        n_directions=config.n_directions, curvature=config.curvature)
+    return _verdict("Thm5.3", prof.conditions)
+
+
+def _certify_thm62(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+    if not _flat_metric(system.model):
+        return _na("Thm6.2", "stated for flat space")
+    kw = dict(radii=config.radii, n_directions=config.n_directions, curvature=config.curvature)
+    return _verdict("Thm6.2", check_growth(system, "linear_growth", **kw).conditions
+                    + check_growth(system, "sublog_derivative", **kw).conditions)
+
+
+def _certify_cor63(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+    if not _flat_metric(system.model):
+        return _na("Cor6.3", "stated for flat space")
+    prof = check_growth(system, "epsilon_exponent", epsilon=config.epsilon, radii=config.radii,
+                        n_directions=config.n_directions, curvature=config.curvature)
+    return _verdict("Cor6.3", prof.conditions)
+
+
+def _certify_thm71(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     curvature = config.curvature or CurvatureData()
-    has_pole = (isinstance(system.model, EmbeddedModel) and system.model._pole_distance is not None) \
-        or curvature.pole is not None
-    if not has_pole:
-        return _na(theorem, "no pole data available")
+    if not _has_pole(system.model, curvature):
+        return _na("Thm7.1", "no pole data available")
     prof = check_growth(system, "pole_conditions", radii=config.radii,
                         n_directions=config.n_directions, curvature=curvature)
-    return _verdict_from_profile(theorem, [prof])
+    return _verdict("Thm7.1", prof.conditions)
 
 
 def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     curvature = config.curvature or CurvatureData()
     model = system.model
-    has_pole = (isinstance(model, EmbeddedModel) and model._pole_distance is not None) \
-        or curvature.pole is not None
-    if not has_pole:
+    if not _has_pole(model, curvature):
         return _na("Prop7.2", "no pole data available")
     eps = config.epsilon
-    band_pts = sample_states(model, config.radii, config.n_directions)
-    dec = effective_drift(system)
+    S = SampleSet.build(model, config.radii, config.n_directions)
+    r, dr, hess = pole_distance(model, curvature, S.x)
+    a_x = effective_drift(system).a_x
+    return _verdict("Prop7.2", [
+        S.condition("coeff_vs_hessian_bound_eps",
+                    _coeff_norm_sq(system, S.x) * hess / (1.0 + r) ** (2.0 - eps)),
+        S.condition("grad_X_sq_growth_eps", S.sup_dirs(partial(_grad_x_sq, system)) / (1.0 + r) ** eps),
+        S.condition("effective_drift_radial_eps",
+                    np.sum(dr * a_x(S.x), axis=-1) / (1.0 + r) ** (2.0 - eps)),
+        S.condition("H_p_growth_eps",
+                    S.sup_dirs(_hp_fn(system, config.p, config.curvature)) / (1.0 + r) ** eps),
+    ])
 
-    def radial(x):
-        return pole_distance(model, curvature, x)
 
-    conds = [
-        _condition_from_bands(
-            "coeff_vs_hessian_bound_eps", band_pts,
-            lambda x: _coeff_norm_sq(system, x) * radial(x)[2] / (1.0 + radial(x)[0]) ** (2.0 - eps)),
-        _condition_from_bands(
-            "grad_X_sq_growth_eps", band_pts,
-            lambda x: _grad_x_norm_sq(system, x, tangent_directions(model, x, config.n_directions))
-            / (1.0 + radial(x)[0]) ** eps),
-        _condition_from_bands(
-            "effective_drift_radial_eps", band_pts,
-            lambda x: float(np.sum(radial(x)[1] * dec.a_x(x))) / (1.0 + radial(x)[0]) ** (2.0 - eps)),
-        _condition_from_bands(
-            "H_p_growth_eps", band_pts,
-            lambda x: _sup_dirs(lambda v: eval_Hp(system, x, v, config.p, curvature=config.curvature),
-                                tangent_directions(model, x, config.n_directions))
-            / (1.0 + radial(x)[0]) ** eps),
-    ]
-    prof = GrowthProfile(kind="prop7.2", conditions=conds,
-                         radii=[float(r) for r in config.radii],
-                         n_directions=config.n_directions)
-    return _verdict_from_profile("Prop7.2", [prof])
+def _is_brownian(system: VectorFieldSystem, S: SampleSet) -> bool:
+    """X^*X = Id, probed at the first sample point."""
+    return isometry_defect(system, S.x[0]) <= ISOMETRY_TOL
 
 
 def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
@@ -770,103 +779,54 @@ def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     ric = _ricci_fn(model, config.curvature)
     if ric is None:
         return _na("Thm8.1", "Ricci curvature data unavailable")
-    band_pts = sample_states(model, config.radii, config.n_directions)
-    probe = band_pts[0][0]
-    if isometry_defect(system, np.asarray(probe, dtype=float)) > ISOMETRY_TOL:
+    S = SampleSet.build(model, config.radii, config.n_directions)
+    if not _is_brownian(system, S):
         return _na("Thm8.1", "system is not a Brownian system (X^*X != Id)")
-
-    c1 = _condition_from_bands(
-        "grad_X_bounded", band_pts,
-        lambda x: np.sqrt(_grad_x_norm_sq(system, x, tangent_directions(model, x, config.n_directions))))
-
-    def lower_ratio(x):
-        dirs = tangent_directions(model, x, config.n_directions)
-        return _sup_dirs(lambda v: _grad_z_quad(system, x, v) - 0.5 * float(ric(x, v)), dirs)
-
-    c2 = _condition_from_bands("gradZ_minus_half_ric_upper", band_pts, lower_ratio)
-    prof = GrowthProfile(kind="thm8.1", conditions=[c1, c2],
-                         radii=[float(r) for r in config.radii],
-                         n_directions=config.n_directions)
-    return _verdict_from_profile("Thm8.1", [prof])
+    return _verdict("Thm8.1", [
+        S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
+        S.condition("gradZ_minus_half_ric_upper", S.sup_dirs(
+            lambda x, v: _grad_z_quad(system, x, v) - 0.5 * np.asarray(ric(x, v), dtype=float))),
+    ])
 
 
 def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     model = system.model
     curvature = config.curvature or CurvatureData()
     ric = _ricci_fn(model, curvature)
-    has_pole = (isinstance(model, EmbeddedModel) and model._pole_distance is not None) \
-        or curvature.pole is not None
-    if ric is None or not has_pole:
+    if ric is None or not _has_pole(model, curvature):
         return _na("Thm8.2", "needs Ricci data and a pole configuration (cut locus avoided)")
-    band_pts = sample_states(model, config.radii, config.n_directions)
-    probe = band_pts[0][0]
-    if isometry_defect(system, np.asarray(probe, dtype=float)) > ISOMETRY_TOL:
+    S = SampleSet.build(model, config.radii, config.n_directions)
+    if not _is_brownian(system, S):
         return _na("Thm8.2", "system is not a Brownian system (X^*X != Id)")
     z, _ = _z_field(system)
-
-    def radial(x):
-        return pole_distance(model, curvature, x)
-
-    conds = [
-        _condition_from_bands(
-            "ric_quadratic_lower", band_pts,
-            lambda x: _sup_dirs(lambda v: -float(ric(x, v)), tangent_directions(model, x, config.n_directions))
-            / (1.0 + radial(x)[0] ** 2)),
-        _condition_from_bands(
-            "drift_radial", band_pts,
-            lambda x: float(np.sum(radial(x)[1] * z(x))) / (1.0 + radial(x)[0])),
-        _condition_from_bands(
-            "grad_X_sq_sublog_r", band_pts,
-            lambda x: _grad_x_norm_sq(system, x, tangent_directions(model, x, config.n_directions))
-            / (1.0 + np.log1p(radial(x)[0]))),
-        _condition_from_bands(
-            "two_gradZ_minus_ric_sublog_r", band_pts,
-            lambda x: _sup_dirs(lambda v: 2.0 * _grad_z_quad(system, x, v) - float(ric(x, v)),
-                                tangent_directions(model, x, config.n_directions))
-            / (1.0 + np.log1p(radial(x)[0]))),
-    ]
-    prof = GrowthProfile(kind="thm8.2", conditions=conds,
-                         radii=[float(r) for r in config.radii],
-                         n_directions=config.n_directions)
-    return _verdict_from_profile("Thm8.2", [prof])
+    r, dr, _ = pole_distance(model, curvature, S.x)
+    sublog = 1.0 + np.log1p(r)
+    return _verdict("Thm8.2", [
+        S.condition("ric_quadratic_lower",
+                    S.sup_dirs(lambda x, v: -np.asarray(ric(x, v), dtype=float)) / (1.0 + r ** 2)),
+        S.condition("drift_radial", np.sum(dr * z(S.x), axis=-1) / (1.0 + r)),
+        S.condition("grad_X_sq_sublog_r", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+        S.condition("two_gradZ_minus_ric_sublog_r", S.sup_dirs(
+            lambda x, v: 2.0 * _grad_z_quad(system, x, v) - np.asarray(ric(x, v), dtype=float))
+            / sublog),
+    ])
 
 
 def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     model = system.model
     if not (isinstance(model, EmbeddedModel) and system.is_gradient):
         return _na("Cor8.3", "stated for gradient Brownian systems of embeddings")
-    band_pts = sample_states(model, config.radii, config.n_directions)
-    ref = np.asarray(band_pts[0][0], dtype=float)
+    S = SampleSet.build(model, config.radii, config.n_directions)
     z, _ = _z_field(system)
-
-    def r_proxy(x):
-        # ambient distance stands in for the intrinsic one (lower bound)
-        return float(vec_norm(np.asarray(x, dtype=float) - ref))
-
-    def sff_sq(x):
-        dirs = tangent_directions(model, x, config.n_directions)
-        def one(v):
-            J = _covariant_column_jacobians(system, x, v)
-            return float(np.sum(J * J))  # = |alpha(v, .)|_HS^2 for gradient systems
-        return _sup_dirs(one, dirs)
-
-    conds = [
-        _condition_from_bands(
-            "sff_sq_sublog", band_pts,
-            lambda x: sff_sq(x) / (1.0 + np.log1p(r_proxy(x)))),
-        _condition_from_bands(
-            "drift_radial", band_pts,
-            lambda x: float(vec_norm(z(x))) / (1.0 + r_proxy(x))),
-        _condition_from_bands(
-            "gradZ_sublog", band_pts,
-            lambda x: _sup_dirs(lambda v: _grad_z_quad(system, x, v),
-                                tangent_directions(model, x, config.n_directions))
-            / (1.0 + np.log1p(r_proxy(x)))),
-    ]
-    prof = GrowthProfile(kind="cor8.3", conditions=conds,
-                         radii=[float(r) for r in config.radii],
-                         n_directions=config.n_directions)
-    verdict = _verdict_from_profile("Cor8.3", [prof])
+    # ambient distance to the first sample stands in for the intrinsic one (lower bound)
+    r = vec_norm(S.x - S.x[0])
+    sublog = 1.0 + np.log1p(r)
+    verdict = _verdict("Cor8.3", [
+        # |grad X(v)|^2 = |alpha(v, .)|_HS^2 for gradient systems
+        S.condition("sff_sq_sublog", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+        S.condition("drift_radial", vec_norm(z(S.x)) / (1.0 + r)),
+        S.condition("gradZ_sublog", S.sup_dirs(partial(_grad_z_quad, system)) / sublog),
+    ])
     if verdict.status == "certified":
         # the adjoint of a gradient Brownian system is gradient Brownian with -Z
         verdict.constants["diffeomorphism"] = 1.0
@@ -878,16 +838,13 @@ def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     hold for the system and for its adjoint."""
     if system.is_gradient:
         route = "Cor8.3"
-        fwd = _certify_cor83(system, config)
-        bwd = _certify_cor83(adjoint(system), config)
     elif _flat_metric(system.model):
         route = "Cor5.2"
-        fwd = _certify_cor52(system, config, route)
-        bwd = _certify_cor52(adjoint(system), config, route)
     else:
         route = "Thm8.1"
-        fwd = _certify_thm81(system, config)
-        bwd = _certify_thm81(adjoint(system), config)
+    handler = _HANDLERS[route]
+    fwd = handler(system, config)
+    bwd = handler(adjoint(system), config)
     if fwd.status == "not-applicable" or bwd.status == "not-applicable":
         return _na("Diffeo", f"route {route} not applicable")
     status = "certified" if fwd.status == bwd.status == "certified" else "failed"
@@ -898,3 +855,19 @@ def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
         bad = fwd if fwd.status == "failed" else bwd
         out.failing_sample = bad.failing_sample
     return out
+
+
+#: theorem id -> handler(system, config) -> TheoremVerdict
+_HANDLERS: Dict[str, Callable[[VectorFieldSystem, CertifyConfig], TheoremVerdict]] = {
+    "Cor5.2": _certify_cor52,
+    "Thm5.1": _certify_thm51,
+    "Thm5.3": _certify_thm53,
+    "Thm6.2": _certify_thm62,
+    "Cor6.3": _certify_cor63,
+    "Thm7.1": _certify_thm71,
+    "Prop7.2": _certify_prop72,
+    "Thm8.1": _certify_thm81,
+    "Thm8.2": _certify_thm82,
+    "Cor8.3": _certify_cor83,
+    "Diffeo": _certify_diffeo,
+}

@@ -447,7 +447,9 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
         raise ContractError("horizons must be strictly increasing")
     grid = _grid_array(grid)
     sched = schedule_for(horizons[-1], dt)
-    steps = [sched.step_of_time(h) for h in horizons]
+    # each horizon must be a grid time, so that the moment reported for t is
+    # the one evaluated at t
+    steps = [schedule_for(h, dt).n_steps for h in horizons]
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
     def chunk(lo, hi):

@@ -56,9 +56,6 @@ class StepSchedule:
     def times(self) -> Array:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def step_of_time(self, t: float) -> int:
-        return min(self.n_steps, int(round(t / self.dt)))
-
 
 def schedule_for(t: float, dt: float) -> StepSchedule:
     """Grid of step dt ending at t, which must be a whole number of steps."""

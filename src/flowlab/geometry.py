@@ -239,19 +239,18 @@ class EmbeddedModel(ManifoldModel):
         return resid <= TANGENCY_TOL * (1.0 + vec_norm(v))
 
     def tangent_frame(self, x: Array) -> Array:
-        """Orthonormal basis of the tangent space, columns of an (m, k) array.
+        """Orthonormal basis of the tangent space, columns of an (..., m, k)
+        array, batched over leading axes of x.
 
-        Single point only.  Deterministic: eigenvectors of the projection
-        matrix with eigenvalue 1 as returned by ``eigh``.
+        Deterministic: eigenvectors of the projection matrix with eigenvalue 1
+        as returned by ``eigh``, which sorts them last.
         """
         P = self.projection(np.asarray(x, dtype=float))
-        if P.ndim != 2:
-            raise ContractError("tangent_frame takes a single point")
         w, V = np.linalg.eigh(P)
-        cols = V[:, w > 0.5]
-        if cols.shape[1] != self.intrinsic_dim:
+        k = self.intrinsic_dim
+        if np.any(np.count_nonzero(w > 0.5, axis=-1) != k):
             raise ContractError("projection rank does not match intrinsic dimension")
-        return cols
+        return V[..., -k:]
 
     def __repr__(self):
         return f"EmbeddedModel({self.name}, m={self.ambient_dim}, n={self.intrinsic_dim})"

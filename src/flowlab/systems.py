@@ -278,17 +278,18 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
     )
 
 
-def isometry_defect(system: VectorFieldSystem, x: Array) -> float:
-    """max_j |X(x) X(x)^* f_j - f_j| over a tangent frame; 0 for X^*X = Id systems."""
+def isometry_defect(system: VectorFieldSystem, x: Array):
+    """max_j |X(x) X(x)^* f_j - f_j| over a tangent frame; 0 for X^*X = Id systems.
+
+    Broadcasts over leading axes of x; a float for a single point.
+    """
     x = np.asarray(x, dtype=float)
     B = system.diffusion_columns(x)
-    if B.ndim != 2:
-        raise ContractError("isometry_defect takes a single point")
     model = system.model
     if isinstance(model, EmbeddedModel):
         frame = model.tangent_frame(x)
     else:
         frame = np.eye(system.dim)
-    G = B @ B.T
-    return float(np.max(vec_norm(G @ frame - frame, axis=0)))
-
+    G = B @ np.swapaxes(B, -1, -2)
+    defect = np.max(vec_norm(G @ frame - frame, axis=-2), axis=-1)
+    return float(defect) if np.ndim(defect) == 0 else defect

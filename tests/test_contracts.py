@@ -13,6 +13,7 @@ from flowlab import (
     ContractError,
     builtin,
     estimate_Ptf,
+    estimate_moment_exponent,
     estimate_sup_derivative_moment,
     integrate_flow,
     observable,
@@ -78,3 +79,23 @@ def test_bad_horizon_or_step_rejected(bad, as_step):
 def test_step_schedule_needs_finite_positive_step(dt):
     with pytest.raises(ContractError):
         StepSchedule(dt=dt, n_steps=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 4), st.floats(0.1, 0.9))
+def test_moment_exponent_rejects_off_grid_horizons(n, frac):
+    # a horizon between grid times used to be rounded to the nearest one and
+    # reported unrounded: (0.015, 0.03, 0.05) at dt 0.01 evaluated t = 0.02
+    ou = builtin("ou(1)")
+    horizons = [(n + frac) * 0.01, 0.06, 0.08]
+    with pytest.raises(ContractError):
+        estimate_moment_exponent(ou.system, [1.0], 2.0, horizons, 3, seed=0, dt=0.01)
+
+
+def test_moment_exponent_on_grid_horizons():
+    ou = builtin("ou(1)")
+    res = estimate_moment_exponent(ou.system, [1.0], 2.0, [0.02, 0.03, 0.05], 3, seed=0, dt=0.01)
+    # the derivative flow of ou(1) is deterministic: Heun multiplies it by
+    # 1 - dt + dt^2/2 per step, so log E|T_xF_t|^2 = 2 (t/dt) log(1 - dt + dt^2/2)
+    heun = [2 * n * math.log(1 - 0.01 + 0.01 ** 2 / 2) for n in (2, 3, 5)]
+    assert res.log_moments == pytest.approx(heun, rel=1e-9)

@@ -2,9 +2,18 @@
 values: the linear restoring system gives -2|v|^2 for every p, the unit sphere
 gives (p + 1 - n)|v|^2 in both curvature backends."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import flowlab
 from flowlab import (
     CapabilityError,
     ContractError,
@@ -19,7 +28,9 @@ from flowlab import (
     scalar_field,
     tangent_project,
 )
-from flowlab.criteria import tangent_directions
+from flowlab.criteria import SampleSet, direction_sample, tangent_directions
+from flowlab.geometry import EmbeddedModel
+from flowlab.systems import gradient_brownian_from_embedding
 
 
 class TestEvalHp:
@@ -282,3 +293,124 @@ def test_tangent_directions_unit_norm():
     assert dirs.shape[1] == 3
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(dirs @ x)) < 1e-10
+
+
+def test_direction_sample_is_cached_and_read_only():
+    dirs = direction_sample(3, 32)
+    assert direction_sample(3, 32) is dirs
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 1.0
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the import time; only direction_sample needs it
+    env = dict(os.environ)
+    src = str(Path(flowlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, flowlab\n"
+            "assert 'scipy.stats' not in sys.modules, 'imported by flowlab'\n"
+            "flowlab.criteria.direction_sample(2, 4)\n"
+            "assert 'scipy.stats' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class TestSampleSetReductions:
+    @staticmethod
+    def one_point(keep=(True, True, True)):
+        keep = np.array([keep])
+        return SampleSet(x=np.zeros((1, 1)), dirs=np.ones(keep.shape + (1,)), keep=keep,
+                         starts=np.array([0]))
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [np.nan, 2.0, 3.0],
+                                        [1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0]])
+    def test_non_finite_in_any_direction_gives_inf(self, values):
+        S = self.one_point()
+        sup = S.sup_dirs(lambda x, v: np.array(values))
+        assert sup.tolist() == [np.inf]
+        check = S.condition("c", sup)
+        assert check.worst_ratio == np.inf and check.diverging
+
+    def test_dropped_direction_is_not_evaluated(self):
+        S = self.one_point(keep=(True, False, True))
+        seen = []
+
+        def fn(x, v):
+            seen.append(len(v))
+            return np.array([1.0, 3.0])
+        assert S.sup_dirs(fn).tolist() == [3.0]
+        assert seen == [2]
+
+    def test_first_maximum_in_band_order(self):
+        x = np.arange(8.0).reshape(4, 2)
+        S = SampleSet(x=x, dirs=np.ones((4, 1, 2)), keep=np.ones((4, 1), dtype=bool),
+                      starts=np.array([0, 2]))
+        check = S.condition("c", np.array([1.0, 5.0, 5.0, 2.0]))
+        assert check.band_ratios == [5.0, 5.0]
+        assert check.worst_point == [2.0, 3.0]
+        assert not check.diverging
+
+    def test_nan_direction_flags_the_condition(self):
+        # <DA v, v> is NaN for a few of the 32 directions; taking the max of
+        # the others would certify a condition that was never evaluated there
+        ou = builtin("ou(2)").system
+        sick = replace(ou, drift_jacobian=lambda x, v: np.where(v[..., :1] > 0.9, np.nan, -v))
+        prof = check_growth(sick, "sublog_derivative")
+        cond = {c.name: c for c in prof.conditions}["grad_A_sublog"]
+        assert cond.worst_ratio == np.inf and cond.diverging
+        assert not prof.ok()
+
+    def test_point_without_tangent_direction_rejected(self):
+        # a degenerate projection kills every direction at every point
+        model = EmbeddedModel("degenerate", 2, 1,
+                              projection=lambda x: np.zeros(np.shape(x) + (2,)),
+                              retraction=lambda x: x,
+                              sampler=lambda rng, k: rng.standard_normal((k, 2)))
+        with pytest.raises(ContractError):
+            check_growth(gradient_brownian_from_embedding(model), "h_bound")
+
+
+def _sphere_pairs(xs, us):
+    model = builtin("sphere(3)").model
+    x = xs / np.linalg.norm(xs, axis=-1, keepdims=True)
+    return x, model.tangent_project(x, us)
+
+
+def _paraboloid_pairs(xs, us):
+    model = builtin("paraboloid").model
+    x = np.concatenate([xs[:, :2], 0.5 * np.sum(xs[:, :2] ** 2, axis=-1, keepdims=True)], axis=-1)
+    return x, model.tangent_project(x, us)
+
+
+BACKEND_CASES = {
+    "euclidean-inversion": ("inversion_plane", 2, "euclidean", None),
+    "euclidean-kunita": ("kunita", 2, "euclidean", None),
+    "euclidean-ou": ("ou(2)", 2, "euclidean", None),
+    "ricci-sphere": ("sphere(3)", 3, "ricci", _sphere_pairs),
+    "gauss-sphere": ("sphere(3)", 3, "gauss", _sphere_pairs),
+    "gauss-paraboloid": ("paraboloid", 3, "gauss", _paraboloid_pairs),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BACKEND_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.floats(0.0, 6.0))
+def test_batched_eval_hp_equals_stacked_pairs(case, data, p):
+    name, d, backend, to_pairs = BACKEND_CASES[case]
+    n = data.draw(st.integers(1, 6))
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    xs = data.draw(arrays(float, (n, d), elements=coords))
+    us = data.draw(arrays(float, (n, d), elements=coords))
+    if to_pairs is not None:
+        assume(np.all(np.linalg.norm(xs, axis=-1) > 0.1))
+        xs, us = to_pairs(xs, us)
+    assume(np.all(np.linalg.norm(us, axis=-1) > 0.1))
+    scn = builtin(name)
+    batch = eval_Hp(scn.system, xs, us, p, backend=backend, curvature=scn.curvature)
+    single = [eval_Hp(scn.system, x, u, p, backend=backend, curvature=scn.curvature)
+              for x, u in zip(xs, us)]
+    assert all(isinstance(h, float) for h in single)
+    assert batch.shape == (n,)
+    scale = 1.0 + np.max(np.abs(single))
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12 * scale)
