@@ -32,7 +32,8 @@ from .errors import FlowlabError
 from .expressions import compile_expression, load_system
 from .flow import (
     BrownianDriver,
-    integrate_derivative_flow,
+    chunk_paths,
+    record_trajectory,
     schedule_for,
     write_trajectory_csv,
 )
@@ -213,20 +214,17 @@ def _cmd_simulate(cfg, scenario, workers):
         v0[0] = 1.0
         if isinstance(scenario.model, EmbeddedModel):
             v0 = scenario.model.tangent_project(x0, v0)
-    v0 = np.asarray(v0, dtype=float)
-    results_list = []
-    exploded = 0
-    for k in range(cfg["paths"]):
-        driver = BrownianDriver(cfg["seed"], scenario.system.noise_dim, stream=k)
-        res = integrate_derivative_flow(scenario.system, x0, v0, sched, driver)
-        results_list.append(res)
-        exploded += int(res.exploded[0])
+    x, dW = chunk_paths(BrownianDriver(cfg["seed"], scenario.system.noise_dim), 0,
+                        cfg["paths"], sched, x0)
+    res = record_trajectory(scenario.system, x, dW, sched,
+                            v=np.broadcast_to(np.asarray(v0, dtype=float), x.shape).copy())
+    exploded = int(res.exploded.sum())
     summary = {
         "paths": cfg["paths"], "exploded": exploded,
         "t": sched.horizon, "dt": cfg["dt"],
-        "final_state_mean": list(np.mean([r.final_states()[0] for r in results_list], axis=0)),
+        "final_state_mean": list(np.mean(res.final_states(), axis=0)),
     }
-    return summary, ("trajectory", results_list), exploded == cfg["paths"]
+    return summary, ("trajectory", res), exploded == cfg["paths"]
 
 
 def _cmd_derivative_moments(cfg, scenario, workers):

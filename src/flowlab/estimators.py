@@ -87,7 +87,14 @@ def _mean_estimate(values: Array, seed: int, truncated: int = 0, **kw) -> Moment
     values = np.asarray(values, dtype=float)
     n = values.size
     value = float(np.mean(values))
-    se = float(np.std(values) / np.sqrt(n)) if n > 1 else 0.0
+    se = 0.0
+    if n > 1:
+        with np.errstate(over="ignore"):
+            se = float(np.std(values) / np.sqrt(n))
+        if not np.isfinite(se) and np.isfinite(values).all():
+            # the squared deviations overflow past ~1.3e154: rescale to [-1, 1]
+            scale = float(np.max(np.abs(values)))
+            se = scale * float(np.std(values / scale) / np.sqrt(n))
     return MomentEstimate(value=value, se=se, n_paths=n, seed=seed,
                           truncated=truncated, invalid=not np.isfinite(value), **kw)
 
@@ -107,6 +114,33 @@ def _estimate_from_exponents(expo: Array, seed: int, truncated: int = 0) -> Mome
                           truncated=truncated, log_space=True)
 
 
+def _sup_estimate(ests: List[MomentEstimate]) -> MomentEstimate:
+    """The largest valid estimate, compared on the log scale (a log-space
+    estimate stores its log); the first one, flagged invalid, when none is
+    valid.  Log-scale ties fall back to the linear value, so a list of linear
+    estimates gives what the max by value gives."""
+    valid = [e for e in ests if not e.invalid]
+    if not valid:
+        ests[0].invalid = True
+        return ests[0]
+
+    def key(e):
+        if e.log_space:
+            return e.value, -np.inf
+        return (np.log(e.value) if e.value > 0 else -np.inf), e.value
+
+    return max(valid, key=key)
+
+
+def _observed(values, x: Array) -> Array:
+    """An observable's values at the points x (..., d) as floats, one per point."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != x.shape[:-1]:
+        raise ContractError(f"observable gave shape {values.shape} at points of shape {x.shape}; "
+                            f"expected one value per point, {x.shape[:-1]}")
+    return values
+
+
 def _grid_array(grid) -> Array:
     g = np.asarray(grid, dtype=float)
     if g.ndim == 1:
@@ -121,10 +155,8 @@ def _grid_frames(system: VectorFieldSystem, grid: Array) -> Array:
     model = system.model
     G, d = grid.shape
     if isinstance(model, EmbeddedModel):
-        frames = np.stack([model.tangent_frame(grid[g]).T for g in range(G)])
-    else:
-        frames = np.broadcast_to(np.eye(d), (G, d, d)).copy()
-    return frames
+        return np.swapaxes(model.tangent_frame(grid), -1, -2)
+    return np.broadcast_to(np.eye(d), (G, d, d)).copy()
 
 
 def _log_opnorm(L: Array, U: Array) -> Array:
@@ -210,12 +242,7 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
         if trunc == n_paths:
             est.invalid = True
         per_point.append(est)
-    if all(e.invalid for e in per_point):
-        sup = per_point[0]
-        sup.invalid = True
-    else:
-        sup = max((e for e in per_point if not e.invalid), key=lambda e: e.value)
-    return GridMomentResult(sup=sup, per_point=per_point,
+    return GridMomentResult(sup=_sup_estimate(per_point), per_point=per_point,
                             grid=[list(r) for r in grid], p=p, t=sched.horizon, dt=dt)
 
 
@@ -318,7 +345,7 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 if s.k == sched.n_steps:
                     break
-                fx = np.asarray(f(s.x), dtype=float)
+                fx = _observed(f(s.x), s.x)
                 integral = np.where(s.alive, integral + fx * sched.dt, integral)
                 lse = np.where(s.alive,
                                np.logaddexp(lse, theta * horizon * fx + np.log(sched.dt)),
@@ -466,7 +493,7 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
     for h_idx in range(len(horizons)):
         ests = [_estimate_from_exponents(p * out["snaps"][:, g, h_idx], seed, truncated=trunc)
                 for g in range(grid.shape[0])]
-        sup = max(ests, key=lambda e: e.value if not e.log_space else np.inf)
+        sup = _sup_estimate(ests)
         per_horizon.append(sup)
         y = sup.value if sup.log_space else (np.log(sup.value) if sup.value > 0 else np.nan)
         if not np.isfinite(y):
@@ -566,6 +593,5 @@ def estimate_girsanov_one_completeness(system: VectorFieldSystem, grid, t: float
     trunc = int(out["trunc"].sum())
     per_point = [_estimate_from_exponents(out["expo"][:, g], seed, truncated=trunc)
                  for g in range(grid.shape[0])]
-    sup = max(per_point, key=lambda e: e.value)
-    return GridMomentResult(sup=sup, per_point=per_point,
+    return GridMomentResult(sup=_sup_estimate(per_point), per_point=per_point,
                             grid=[list(r) for r in grid], p=1.0, t=sched.horizon, dt=dt)

@@ -309,6 +309,26 @@ def _flow_fields(sched: StepSchedule, states: Array, last: PathState) -> dict:
                 domain_exit=last.exit_step <= sched.n_steps, domain_exit_step=last.exit_step)
 
 
+def record_trajectory(system: VectorFieldSystem, x: Array, dW: Array, sched: StepSchedule,
+                      v=None, r_expl: float = DEFAULT_EXPLOSION_RADIUS) -> FlowResult:
+    """Step a batch x (B, d), and its tangents v (B, d) when given, through the
+    increments dW (n_steps, [B,] m) and record the trajectory: a FlowResult,
+    or a direct-mode DerivativeFlowResult when v is given."""
+    system.model.check_admissible(x)
+    states = np.empty((sched.n_steps + 1,) + x.shape)
+    vs = None if v is None else np.empty(states.shape)
+    for s in propagate(Stepper(system, r_expl=r_expl), x, dW, sched.dt, v=v):
+        states[s.k] = s.x
+        if v is not None:
+            vs[s.k] = s.v
+    if v is None:
+        return FlowResult(**_flow_fields(sched, states, s))
+    underflow = bool(np.any((vec_norm(v) > 0) & (vec_norm(vs[-1]) < UNDERFLOW_FLOOR)))
+    log_norms = np.log(np.maximum(vec_norm(vs), UNDERFLOW_FLOOR))
+    return DerivativeFlowResult(**_flow_fields(sched, states, s), mode="direct", vs=vs,
+                                log_norms=log_norms, underflow_advice=underflow)
+
+
 def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
                    driver: BrownianDriver, r_expl: float = DEFAULT_EXPLOSION_RADIUS) -> FlowResult:
     """Integrate the flow from one point or a common-noise batch of points.
@@ -318,11 +338,7 @@ def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
     if driver.dim != system.noise_dim:
         raise ContractError("driver dimension does not match system noise dimension")
     members, _ = _as_members(x0)
-    system.model.check_admissible(members)
-    states = np.empty((sched.n_steps + 1,) + members.shape)
-    for s in propagate(Stepper(system, r_expl=r_expl), members, driver.increments(sched), sched.dt):
-        states[s.k] = s.x
-    return FlowResult(**_flow_fields(sched, states, s))
+    return record_trajectory(system, members, driver.increments(sched), sched, r_expl=r_expl)
 
 
 def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSchedule,
@@ -341,24 +357,14 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     vs0, _ = _as_members(v0)
     if vs0.shape != members.shape:
         vs0 = np.broadcast_to(vs0, members.shape).copy()
+    dW = driver.increments(sched)
+    if mode == "direct":
+        return record_trajectory(system, members, dW, sched, v=vs0, r_expl=r_expl)
     system.model.check_admissible(members)
     stepper = Stepper(system, r_expl=r_expl)
-    dW = driver.increments(sched)
     B, d = members.shape
     n = sched.n_steps
     states = np.empty((n + 1, B, d))
-
-    if mode == "direct":
-        vs = np.empty((n + 1, B, d))
-        for s in propagate(stepper, members, dW, sched.dt, v=vs0):
-            states[s.k] = s.x
-            vs[s.k] = s.v
-        underflow = bool(np.any((vec_norm(vs0) > 0) & (vec_norm(vs[-1]) < UNDERFLOW_FLOOR)))
-        log_norms = np.log(np.maximum(vec_norm(vs), UNDERFLOW_FLOOR))
-        return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode, vs=vs,
-                                    log_norms=log_norms, underflow_advice=underflow)
-
-    # log_radial
     sys_strat = stepper.system
     n0 = vec_norm(vs0)
     zero_members = n0 == 0.0
@@ -471,15 +477,14 @@ def transport_curve(system: VectorFieldSystem, curve: CurveSample, sched: StepSc
     xT = res.states[-1]
     vT = res.vs[-1]
     model = system.model
-    init_speed = np.array([model.metric_norm(curve.points[i], curve.tangents[i])
-                           for i in range(curve.points.shape[0])], dtype=float)
+    init_speed = np.asarray(model.metric_norm(curve.points, curve.tangents), dtype=float)
     initial_length = float(np.trapezoid(init_speed, curve.params))
     exploded_node = None
     if np.any(res.exploded):
         exploded_node = int(np.argmax(res.exploded))
         length = float("inf")
     else:
-        speed = np.array([model.metric_norm(xT[i], vT[i]) for i in range(xT.shape[0])], dtype=float)
+        speed = np.asarray(model.metric_norm(xT, vT), dtype=float)
         length = float(np.trapezoid(speed, curve.params))
     min_punct = None
     if hasattr(model, "puncture_distance"):
@@ -493,8 +498,8 @@ def transport_curve(system: VectorFieldSystem, curve: CurveSample, sched: StepSc
 # CSV trajectory dump
 # ----------------------------------------------------------------------
 
-def write_trajectory_csv(fh, results, include_v: bool = False) -> None:
-    """RFC-4180 dump of one FlowResult per path id.
+def write_trajectory_csv(fh, result, include_v: bool = False) -> None:
+    """RFC-4180 dump of a FlowResult, one path id per member.
 
     Header: path_id, step, time, state components, v components (optional),
     exploded flag.
@@ -502,19 +507,17 @@ def write_trajectory_csv(fh, results, include_v: bool = False) -> None:
     import csv
 
     writer = csv.writer(fh)
-    first = results[0]
-    d = first.states.shape[-1]
+    d = result.states.shape[-1]
     head = ["path_id", "step", "time"] + [f"x{i+1}" for i in range(d)]
     if include_v:
         head += [f"v{i+1}" for i in range(d)]
     head.append("exploded")
     writer.writerow(head)
-    for pid, res in enumerate(results):
-        n = res.states.shape[0]
-        for k in range(n):
-            row = [pid, k, repr(float(res.times[k]))]
-            row += [repr(float(c)) for c in res.states[k, 0]]
+    for pid in range(result.n_members):
+        for k in range(result.states.shape[0]):
+            row = [pid, k, repr(float(result.times[k]))]
+            row += [repr(float(c)) for c in result.states[k, pid]]
             if include_v:
-                row += [repr(float(c)) for c in res.vs[k, 0]]
-            row.append(int(res.exploded[0] and k >= res.explosion_step[0]))
+                row += [repr(float(c)) for c in result.vs[k, pid]]
+            row.append(int(result.exploded[pid] and k >= result.explosion_step[pid]))
             writer.writerow(row)

@@ -394,7 +394,7 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     discarded before the first ``n_paths`` survivors are kept.  Returns the
     per-level RMS terminal errors and the fitted log-log slope.
     """
-    from .flow import Stepper
+    from .flow import Stepper, chunk_paths
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
@@ -409,7 +409,6 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
             raise ContractError("step sizes must nest integrally inside the horizon")
         factors.append(n_fine // steps)
     x0 = np.asarray(x0, dtype=float)
-    d_state = x0.shape[-1]
     m = scenario.system.noise_dim
     driver = BrownianDriver(seed, m)
 
@@ -420,19 +419,18 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     for lo in range(0, max_candidates, 256):
         if n_kept >= n_paths:
             break
-        block = np.stack([driver.for_path(k).increments(fine)
-                          for k in range(lo, min(lo + 256, max_candidates))])
-        oracle = scenario.oracle(x0, np.moveaxis(block, 0, 1), dts[0])
+        _, block = chunk_paths(driver, lo, min(lo + 256, max_candidates), fine, x0)
+        oracle = scenario.oracle(x0, block, dts[0])
         keep = ~oracle.singular
         if oracle.min_denominator is not None:
             keep &= oracle.min_denominator > filter_threshold
         idx = np.nonzero(keep)[0][:n_paths - n_kept]
-        kept_dW.append(block[idx])
+        kept_dW.append(block[:, idx])
         kept_T.append(oracle.states[-1][idx])
         n_kept += idx.size
     if n_kept < n_paths:
         raise ContractError("not enough paths survive the singularity filter")
-    dW = np.concatenate(kept_dW)
+    dW = np.concatenate(kept_dW, axis=1)
     exact_T = np.concatenate(kept_T)
 
     # the ladder steps without propagate's freezing on purpose: a diverging
@@ -442,11 +440,11 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     rms = []
     for d, f in zip(dts, factors):
         steps = n_fine // f
-        dWc = dW.reshape(n_paths, steps, f, m).sum(axis=2)
-        x = np.broadcast_to(x0, (n_paths, d_state)).copy()
+        dWc = dW.reshape(steps, f, n_paths, m).sum(axis=1)
+        x = np.broadcast_to(x0, exact_T.shape).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(steps):
-                x = stepper.step_x(x, dWc[:, i], d)
+                x = stepper.step_x(x, dWc[i], d)
         err = vec_norm(x - exact_T)
         rms.append(float(np.sqrt(np.mean(err ** 2))))
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .estimators import MomentEstimate, _mean_estimate
+from .estimators import MomentEstimate, _mean_estimate, _observed
 from .flow import BrownianDriver, Stepper, chunk_paths, propagate, schedule_for
 from .geometry import vec_norm
 from .parallel import run_chunks
@@ -61,7 +61,7 @@ def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
     def chunk(lo, hi):
         for s in propagate(Stepper(system), *chunk_paths(driver, lo, hi, sched, x), sched.dt):
             pass
-        vals = np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0)
+        vals = np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0)
         return {"vals": vals, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
@@ -81,7 +81,7 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
         xs, dW = chunk_paths(driver, lo, hi, sched, x)
         for s in propagate(Stepper(system), xs, dW, sched.dt, v=np.broadcast_to(v, xs.shape).copy()):
             pass
-        vals = np.where(s.alive, np.asarray(obs.df(s.x, s.v), dtype=float), 0.0)
+        vals = np.where(s.alive, _observed(obs.df(s.x, s.v), s.x), 0.0)
         return {"vals": vals, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
@@ -152,8 +152,8 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
         xb = xs[:, 0, :]
         for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
             pass
-        f_vals = np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0)  # (C, 1+E)
-        delta = np.where(p.alive, np.asarray(obs.df(p.x, p.v), dtype=float), 0.0)
+        f_vals = np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0)  # (C, 1+E)
+        delta = np.where(p.alive, _observed(obs.df(p.x, p.v), p.x), 0.0)
         return {"f_vals": f_vals, "delta": delta,
                 "trunc": ~(s.alive.all(axis=1) & p.alive)}
 

@@ -1,6 +1,8 @@
 """Command-line front end: validation, exit codes, reproducibility, worker
 independence, environment seed override."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import flowlab
-from flowlab import cli
+from flowlab import BrownianDriver, builtin, cli, integrate_derivative_flow, schedule_for
+from flowlab.flow import write_trajectory_csv
 
 
 def run_cli(args, env_extra=None):
@@ -128,6 +131,32 @@ class TestReports:
         assert raw.count(b"\r\n") >= 9  # CRLF line endings, header + rows
         header = raw.split(b"\r\n")[0].decode()
         assert header == "path_id,step,time,x1,x2,v1,v2,exploded"
+        rows = list(csv.reader(io.StringIO(raw.decode(), newline=""), strict=True))
+        assert len(rows) == 2 * (3 + 1) + 1      # P (steps + 1) + header
+        assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [(p, k) for p in range(2) for k in range(4)]
+
+    @pytest.mark.parametrize("cfg, rc", [
+        ({"scenario": "sphere(3)", "paths": 3, "t": 0.2, "dt": 0.01, "seed": 5}, 0),
+        # every path explodes, so the run is invalid
+        ({"scenario": "kunita", "x0": [200.0, 200.0], "paths": 3, "t": 1.0, "dt": 0.01, "seed": 7}, 3),
+    ], ids=["sphere", "kunita-exploding"])
+    def test_simulate_path_k_is_stream_k(self, tmp_path, cfg, rc, capsys):
+        # the batch must reproduce, bit for bit, path k integrated alone on stream k
+        assert cli.run("simulate", dict(cfg), str(tmp_path), fmt="csv") == rc
+        with open(tmp_path / "simulate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        d = (len(rows[0]) - 4) // 2
+        x0 = [float(c) for c in rows[1][3:3 + d]]
+        v0 = [float(c) for c in rows[1][3 + d:3 + 2 * d]]
+        system = builtin(cfg["scenario"]).system
+        sched = schedule_for(cfg["t"], cfg["dt"])
+        for k in range(cfg["paths"]):
+            alone = integrate_derivative_flow(system, x0, v0, sched,
+                                              BrownianDriver(cfg["seed"], system.noise_dim, stream=k))
+            buf = io.StringIO()
+            write_trajectory_csv(buf, alone, include_v=True)
+            want = [[str(k)] + r[1:] for r in csv.reader(io.StringIO(buf.getvalue()))][1:]
+            assert [r for r in rows[1:] if r[0] == str(k)] == want
 
     def test_list_scenarios(self, tmp_path):
         out = tmp_path / "ls"

@@ -13,8 +13,11 @@ from flowlab import (
     ContractError,
     builtin,
     estimate_Ptf,
+    estimate_deltaPt,
+    estimate_exponential_functional,
     estimate_moment_exponent,
     estimate_sup_derivative_moment,
+    gradient_consistency_check,
     integrate_flow,
     observable,
     schedule_for,
@@ -54,6 +57,23 @@ def test_point_dimension_must_match_the_system(dim, n_components):
         estimate_Ptf(system, observable(lambda y: y[..., 0]), x, 0.02, 3, seed=0, dt=0.01)
     with pytest.raises(ContractError):
         estimate_sup_derivative_moment(system, x, 1.0, 0.02, 3, seed=0, dt=0.01)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 6))
+def test_observables_give_one_value_per_point(n_paths):
+    # f(x) = x on ou(2) gives two values per point: at n_paths=2 they used to
+    # be broadcast into a mean of four numbers, at n_paths=5 a raw ValueError
+    ou = builtin("ou(2)")
+    ident = observable(lambda x: x, lambda x, v: v)
+    x, v, kw = [1.0, 0.0], [1.0, 0.0], dict(n_paths=n_paths, seed=0, dt=0.01)
+    calls = [lambda: estimate_Ptf(ou.system, ident, x, 0.02, **kw),
+             lambda: estimate_deltaPt(ou.system, ident, x, v, 0.02, **kw),
+             lambda: gradient_consistency_check(ou.system, ident, x, v, 0.02, **kw),
+             lambda: estimate_exponential_functional(ou.system, ident.f, x, 0.02, 0.1, **kw)]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
 
 
 @given(st.integers(1, 10_000), st.floats(1e-4, 1.0))

@@ -6,6 +6,7 @@ oracle noted inline before being frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flowlab import (
     ContractError,
@@ -19,7 +20,7 @@ from flowlab import (
     graph_model,
     gradient_brownian_from_embedding,
 )
-from flowlab.estimators import Z95
+from flowlab.estimators import Z95, MomentEstimate, _estimate_from_exponents, _mean_estimate, _sup_estimate
 
 
 class TestSupDerivativeMoment:
@@ -74,6 +75,54 @@ class TestSupDerivativeMoment:
                                              r_expl=10.0)
         assert res.sup.truncated == 16
         assert res.sup.invalid
+
+    def test_sup_compares_log_and_linear_estimates(self):
+        # the first point's estimate is e^791 (log space), the second 2.5e126
+        # (linear); the sup used to compare the stored log 791 with 2.5e126
+        scn = builtin("kunita")
+        res = estimate_sup_derivative_moment(scn.system, [[3.0, 3.0], [0.2, 0.2]], p=400.0,
+                                             t=0.2, n_paths=200, seed=1, dt=0.01)
+        big, small = res.per_point
+        assert big.log_space and big.value == pytest.approx(791.02, abs=0.01)
+        assert not small.log_space and 1e126 < small.value < 1e127
+        assert res.sup is big
+
+
+class TestSupEstimate:
+    @staticmethod
+    def est(value, log_space=False, invalid=False):
+        return MomentEstimate(value=value, se=0.0, n_paths=1, seed=0,
+                              log_space=log_space, invalid=invalid)
+
+    def test_log_scale_order(self):
+        a, b, c = self.est(800.0, True), self.est(1e300), self.est(900.0, True)
+        assert _sup_estimate([a, b, c]) is c
+        assert _sup_estimate([b, self.est(3.0, True)]) is b
+
+    def test_linear_ties_keep_the_first_maximum(self):
+        a, b, c = self.est(2.0), self.est(5.0), self.est(5.0)
+        assert _sup_estimate([a, b, c]) is b
+
+    def test_invalid_points_are_skipped(self):
+        bad, good = self.est(float("nan"), invalid=True), self.est(0.5)
+        assert _sup_estimate([bad, good]) is good
+
+    def test_all_invalid_gives_the_first_flagged(self):
+        a, b = self.est(1.0, invalid=True), self.est(2.0, invalid=True)
+        assert _sup_estimate([a, b]) is a and a.invalid
+
+
+class TestStandardError:
+    def test_se_finite_past_the_square_overflow(self):
+        # deviations past ~1.3e154 used to overflow np.std to an se of inf
+        est = _estimate_from_exponents(np.array([360.0, 359.0, 358.0]), seed=0)
+        assert not est.log_space and not est.invalid
+        ref = np.exp(360.0) * np.std(np.exp([0.0, -1.0, -2.0])) / np.sqrt(3)
+        assert est.se == pytest.approx(ref, rel=1e-12)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=20))
+    def test_finite_values_give_finite_se(self, values):
+        assert np.isfinite(_mean_estimate(values, seed=0).se)
 
 
 class TestStoppedMoment:
@@ -233,6 +282,21 @@ class TestMomentExponent:
                                        seed=20, dt=1e-2)
         assert len(res.residuals) == 3
         assert max(abs(r) for r in res.residuals) < 1e-3
+
+    def test_sup_over_log_space_points_takes_the_larger(self):
+        # both grid points give log-space estimates at each horizon; the sup
+        # used to rank every log-space estimate as +inf and keep the first
+        scn = builtin("kunita")
+        grid = [[0.2, 0.2], [3.0, 3.0]]
+        res = estimate_moment_exponent(scn.system, grid, p=2000.0, horizons=[0.1, 0.2],
+                                       n_paths=200, seed=1, dt=0.01)
+        for h, sup in zip(res.horizons, res.per_horizon):
+            # the terminal moment at h rides the same increments
+            points = estimate_sup_derivative_moment(scn.system, grid, p=2000.0, t=h,
+                                                    n_paths=200, seed=1, dt=0.01,
+                                                    terminal=True).per_point
+            assert all(e.log_space for e in points)
+            assert sup.value == max(e.value for e in points)
 
 
 class TestGirsanovFunctional:

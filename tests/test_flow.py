@@ -22,7 +22,7 @@ from flowlab import (
     transport_curve,
     write_trajectory_csv,
 )
-from flowlab.flow import Stepper, propagate
+from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory
 from flowlab.scenarios import _translation_system
 
 
@@ -303,9 +303,8 @@ def test_trajectory_csv_deterministic():
 
     def dump():
         buf = io.StringIO()
-        results = [integrate_flow(scn.system, np.array([1.0, 0.0]), sched,
-                                  BrownianDriver(42, 2, stream=k)) for k in range(3)]
-        write_trajectory_csv(buf, results)
+        x, dW = chunk_paths(BrownianDriver(42, 2), 0, 3, sched, np.array([1.0, 0.0]))
+        write_trajectory_csv(buf, record_trajectory(scn.system, x, dW, sched))
         return buf.getvalue()
 
     a, b = dump(), dump()
