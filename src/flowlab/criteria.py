@@ -94,7 +94,7 @@ def _directions_at(model: ManifoldModel, x: Array, n: int):
     shape = x.shape[:-1] + dirs.shape
     if not isinstance(model, EmbeddedModel):
         return np.broadcast_to(dirs, shape), np.ones(shape[:-1], dtype=bool)
-    proj = model.tangent_project(np.broadcast_to(x[..., None, :], shape), dirs)
+    proj = model.tangent_project(x[..., None, :], dirs)
     norm = vec_norm(proj)
     keep = norm > 1e-8
     return proj / np.where(keep, norm, 1.0)[..., None], keep
@@ -237,14 +237,9 @@ def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
         if not system.is_gradient:
             raise CapabilityError("gauss backend applies to gradient Brownian systems")
         avv = second_fundamental_form(model, x, v, v)
-        frame = model.tangent_frame(x)
-        trace_alpha = a_hs = 0.0
-        for j in range(frame.shape[-1]):
-            fj = frame[..., j]
-            trace_alpha = trace_alpha + second_fundamental_form(model, x, fj, fj)
-            avfj = second_fundamental_form(model, x, v, fj)
-            a_hs = a_hs + np.sum(avfj * avfj, axis=-1)
-        h = (-np.sum(avv * trace_alpha, axis=-1) + 2.0 * a_hs
+        # alpha(v, .) = -<D_v nu, .> nu, so |alpha(v, .)|_HS^2 = |P D_v nu|^2
+        a_v = model.tangent_project(x, model.dnormal(x, v))
+        h = (-np.sum(avv * model.mean_curvature(x), axis=-1) + 2.0 * np.sum(a_v * a_v, axis=-1)
              + (p - 2.0) * np.sum(avv * avv, axis=-1) / nv2
              + 2.0 * _grad_z_quad(system, x, v))
     else:
@@ -420,15 +415,16 @@ def _sup_drift_curvature(system: VectorFieldSystem, curvature: Optional[Curvatur
                          S: SampleSet) -> Array:
     """Per point, the sup over directions of 2<grad_v A^X, v> plus
     sum_i <R(X^i, v)X^i, v>, which is zero on flat models and -Ric(v, v) for
-    isometric systems with Ricci data (isometry checked once per point)."""
+    isometric systems with Ricci data (isometry checked once per point).
+    A^X = Z with its declared jacobian where the system declares Z."""
     model = system.model
-    a_x = effective_drift(system).a_x
+    _, zjac = _z_field(system)
     ric = None if isinstance(model, (FlatModel, PuncturedFlatModel)) else _ricci_fn(model, curvature)
     if ric is not None and np.any(isometry_defect(system, S.x) > ISOMETRY_TOL):
         raise CapabilityError("curvature rewriting needs an isometric system")
 
     def quad(x, v):
-        da = fd_directional(a_x, x, v)
+        da = np.asarray(zjac(x, v), dtype=float)
         if isinstance(model, EmbeddedModel):
             da = model.tangent_project(x, da)
         rterm = 0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)
@@ -472,12 +468,12 @@ def _epsilon_exponent(system, S, epsilon, p, curvature):
 
 def _pole_conditions(system, S, epsilon, p, curvature):
     curvature = curvature if curvature is not None else CurvatureData()
-    a_x = effective_drift(system).a_x
+    z, _ = _z_field(system)
     r, dr, hess = pole_distance(system.model, curvature, S.x)
     sublog = 1.0 + np.log1p(r)
     conds = [
         S.condition("coeff_vs_hessian_bound", _coeff_norm_sq(system, S.x) * hess / (1.0 + r)),
-        S.condition("effective_drift_radial", np.sum(dr * a_x(S.x), axis=-1) / (1.0 + r)),
+        S.condition("effective_drift_radial", np.sum(dr * z(S.x), axis=-1) / (1.0 + r)),
         S.condition("grad_X_sq_sublog_r", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
     ]
     if _has_r_term(system, curvature):
@@ -757,13 +753,13 @@ def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     eps = config.epsilon
     S = SampleSet.build(model, config.radii, config.n_directions)
     r, dr, hess = pole_distance(model, curvature, S.x)
-    a_x = effective_drift(system).a_x
+    z, _ = _z_field(system)
     return _verdict("Prop7.2", [
         S.condition("coeff_vs_hessian_bound_eps",
                     _coeff_norm_sq(system, S.x) * hess / (1.0 + r) ** (2.0 - eps)),
         S.condition("grad_X_sq_growth_eps", S.sup_dirs(partial(_grad_x_sq, system)) / (1.0 + r) ** eps),
         S.condition("effective_drift_radial_eps",
-                    np.sum(dr * a_x(S.x), axis=-1) / (1.0 + r) ** (2.0 - eps)),
+                    np.sum(dr * z(S.x), axis=-1) / (1.0 + r) ** (2.0 - eps)),
         S.condition("H_p_growth_eps",
                     S.sup_dirs(_hp_fn(system, config.p, config.curvature)) / (1.0 + r) ** eps),
     ])

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .criteria import direction_sample
+from .criteria import _directions_at, eval_Hp
 from .errors import CapabilityError, ContractError
 from .flow import BrownianDriver, StepSchedule, Stepper, chunk_paths, propagate, schedule_for
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
@@ -105,7 +105,12 @@ def _estimate_from_exponents(expo: Array, seed: int, truncated: int = 0) -> Mome
     n = expo.size
     mx = float(np.max(expo))
     if mx <= EXP_OVERFLOW:
-        return _mean_estimate(np.exp(expo), seed, truncated)
+        linear = np.exp(expo)
+        # the sum overflows, so the mean is inf, only once mx + log(n) passes
+        # log(DBL_MAX) ~ 709.78; log space then gives the finite log mean
+        with np.errstate(over="ignore"):
+            if np.isfinite(np.sum(linear)):
+                return _mean_estimate(linear, seed, truncated)
     shifted = np.exp(expo - mx)
     m = float(np.mean(shifted))
     log_value = mx + float(np.log(m))
@@ -518,52 +523,21 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
 # exponential functional of sup H_1 for gradient systems
 # ----------------------------------------------------------------------
 
-def _gradient_h1_batch(system: VectorFieldSystem, x: Array, v: Array) -> Array:
-    """H_1(x)(v, v) for unit-ish tangent v, batched, gradient systems only."""
-    from .geometry import second_fundamental_form
-
-    model: EmbeddedModel = system.model
-    nv2 = np.sum(v * v, axis=-1)
-    avv = second_fundamental_form(model, x, v, v)
-    if model.mean_curvature is not None:
-        tra = model.mean_curvature(x)
-    else:
-        raise CapabilityError("gradient H_1 batch evaluation needs mean curvature data")
-    hs = np.zeros(nv2.shape)
-    m = system.noise_dim
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        ji = system.diffusion_jacobian(x, e, v)
-        ji = model.tangent_project(x, ji)
-        hs = hs + np.sum(ji * ji, axis=-1)
-    zq = np.zeros(nv2.shape)
-    if system.z_drift_jacobian is not None:
-        dz = model.tangent_project(x, np.asarray(system.z_drift_jacobian(x, v), dtype=float))
-        zq = np.sum(dz * v, axis=-1)
-    return (-np.sum(avv * tra, axis=-1) + 2.0 * hs
-            - np.sum(avv * avv, axis=-1) / np.where(nv2 == 0.0, 1.0, nv2)
-            + 2.0 * zq)
-
-
 def sup_h1_field(system: VectorFieldSystem, n_directions: int = 16) -> Callable[[Array], Array]:
-    """x -> sup_{|v|=1} H_1(x)(v, v) over a fixed tangent direction sample."""
+    """x -> sup_{|v|=1} H_1(x)(v, v) over a fixed tangent direction sample,
+    one gauss-backend evaluation over all (point, direction) pairs; -inf at a
+    point where no direction survives the tangent projection."""
     if not (system.is_gradient and isinstance(system.model, EmbeddedModel)):
         raise CapabilityError("sup H_1 field is for gradient Brownian systems")
     model = system.model
-    dirs = direction_sample(model.ambient_dim, n_directions)
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        best = np.full(x.shape[:-1], -np.inf)
-        for d0 in dirs:
-            v = model.tangent_project(x, np.broadcast_to(d0, x.shape))
-            nv = vec_norm(v)
-            ok = nv > 1e-8
-            v = v / np.where(ok, nv, 1.0)[..., None]
-            h = _gradient_h1_batch(system, x, v)
-            best = np.where(ok, np.maximum(best, h), best)
-        return best
+        v, keep = _directions_at(model, x, n_directions)
+        out = np.full(keep.shape, -np.inf)
+        out[keep] = eval_Hp(system, np.broadcast_to(x[..., None, :], v.shape)[keep], v[keep],
+                            1.0, backend="gauss")
+        return out.max(axis=-1)
 
     return f
 

@@ -22,9 +22,6 @@ from .errors import CapabilityError, ContractError, DomainError, SingularPointEr
 
 Array = np.ndarray
 
-#: relative step for finite-difference derivatives of user-supplied fields
-FD_REL_STEP = 1e-5
-
 #: tangency tolerance for contract checks: 1e-8 * (1 + |v|)
 TANGENCY_TOL = 1e-8
 
@@ -179,41 +176,37 @@ class RescaledFlatModel(ManifoldModel):
 
 
 class EmbeddedModel(ManifoldModel):
-    """Isometrically embedded submanifold of R^m given by chart data.
+    """Isometrically embedded hypersurface of R^m given by its unit normal.
 
-    ``projection(x)`` returns the orthogonal projection onto the tangent space
-    as an (m, m) matrix (batched over leading axes).  ``retraction`` maps
-    near-manifold ambient points back onto the manifold.  Analytic second
-    fundamental form / projection derivative / Ricci / pole-distance callables
-    are optional; finite differences of the projection field fill in for a
-    missing second fundamental form.
+    ``normal(x)`` is a unit normal field near the manifold and ``dnormal(x, v)``
+    its directional derivative D_v nu, for tangent v the Weingarten map up to
+    sign (both batched over leading axes).  Projections, the second
+    fundamental form and the mean curvature follow from these two without
+    forming matrices.  ``retraction`` maps near-manifold ambient points back
+    onto the manifold; Ricci, pole-distance and sampler callables are optional.
     """
 
     kind = "embedded"
 
-    def __init__(self, name: str, ambient_dim: int, intrinsic_dim: int,
-                 projection: Callable[[Array], Array],
+    def __init__(self, name: str, ambient_dim: int,
+                 normal: Callable[[Array], Array],
+                 dnormal: Callable[[Array, Array], Array],
                  retraction: Callable[[Array], Array],
-                 sff: Optional[Callable[[Array, Array, Array], Array]] = None,
-                 dprojection: Optional[Callable[[Array, Array], Array]] = None,
                  ricci: Optional[Callable[[Array, Array], Array]] = None,
                  pole: Optional[Array] = None,
                  pole_distance: Optional[Callable[[Array], tuple]] = None,
                  sampler: Optional[Callable[[np.random.Generator, int], Array]] = None,
-                 admissible: Optional[Callable[[Array], Array]] = None,
-                 mean_curvature: Optional[Callable[[Array], Array]] = None):
-        super().__init__(ambient_dim, intrinsic_dim)
+                 admissible: Optional[Callable[[Array], Array]] = None):
+        super().__init__(ambient_dim, ambient_dim - 1)
         self.name = name
-        self.projection = projection
+        self.normal = normal
+        self.dnormal = dnormal
         self.retraction = retraction
-        self.sff = sff
-        self.dprojection = dprojection
         self.ricci = ricci
         self.pole = None if pole is None else np.asarray(pole, dtype=float)
         self._pole_distance = pole_distance
         self.sampler = sampler
         self._admissible = admissible
-        self.mean_curvature = mean_curvature  # trace of alpha, batched
 
     def admissible(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -222,13 +215,35 @@ class EmbeddedModel(ManifoldModel):
             ok = ok & np.asarray(self._admissible(x))
         return ok
 
-    def tangent_project(self, x: Array, u: Array) -> Array:
-        P = self.projection(np.asarray(x, dtype=float))
-        return np.einsum("...ij,...j->...i", P, np.asarray(u, dtype=float))
-
     def normal_project(self, x: Array, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
-        return u - self.tangent_project(x, u)
+        nu = self.normal(np.asarray(x, dtype=float))
+        return nu * np.sum(nu * np.asarray(u, dtype=float), axis=-1)[..., None]
+
+    def tangent_project(self, x: Array, u: Array) -> Array:
+        return np.asarray(u, dtype=float) - self.normal_project(x, u)
+
+    def projection(self, x: Array) -> Array:
+        """The tangent projection I - nu nu^T as an (..., m, m) matrix."""
+        nu = self.normal(np.asarray(x, dtype=float))
+        return np.eye(self.ambient_dim) - nu[..., :, None] * nu[..., None, :]
+
+    def sff(self, x: Array, v: Array, w: Array) -> Array:
+        """alpha(v, w) = -<D_v nu, w> nu for tangent v, w."""
+        x = np.asarray(x, dtype=float)
+        dn = self.dnormal(x, np.asarray(v, dtype=float))
+        return -np.sum(dn * np.asarray(w, dtype=float), axis=-1)[..., None] * self.normal(x)
+
+    def mean_curvature(self, x: Array) -> Array:
+        """trace alpha = -tr(P D nu P) nu, the trace taken over the projected
+        coordinate vectors P e_i."""
+        x = np.asarray(x, dtype=float)
+        nu = self.normal(x)
+        tr = 0.0
+        for i in range(self.ambient_dim):
+            pe = -nu[..., i, None] * nu
+            pe[..., i] += 1.0
+            tr = tr + np.sum(self.dnormal(x, pe) * pe, axis=-1)
+        return -tr[..., None] * nu
 
     def retract(self, x: Array) -> Array:
         return self.retraction(np.asarray(x, dtype=float))
@@ -245,8 +260,7 @@ class EmbeddedModel(ManifoldModel):
         Deterministic: eigenvectors of the projection matrix with eigenvalue 1
         as returned by ``eigh``, which sorts them last.
         """
-        P = self.projection(np.asarray(x, dtype=float))
-        w, V = np.linalg.eigh(P)
+        w, V = np.linalg.eigh(self.projection(x))
         k = self.intrinsic_dim
         if np.any(np.count_nonzero(w > 0.5, axis=-1) != k):
             raise ContractError("projection rank does not match intrinsic dimension")
@@ -277,39 +291,15 @@ def metric_norm(model: ManifoldModel, x: Array, v: Array) -> Array:
 
 
 def second_fundamental_form(model: ManifoldModel, x: Array, v: Array, w: Array) -> Array:
-    """alpha_x(v, w): the normal-valued second fundamental form of an embedding.
-
-    Uses the model's analytic form when present, otherwise central finite
-    differences of the projection field (relative step ``FD_REL_STEP``):
-    alpha(v, w) = Y(x) (D_v P)(x) w for tangent v, w.
-    """
+    """alpha_x(v, w) = -<D_v nu, w> nu: the normal-valued second fundamental
+    form of an embedded hypersurface with unit normal nu, for tangent v, w."""
     if not isinstance(model, EmbeddedModel):
         raise CapabilityError("second fundamental form needs an embedded model")
     model.check_admissible(x)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
     for name, vec in (("v", v), ("w", w)):
         if not np.all(model.is_tangent(x, vec)):
             raise ContractError(f"{name} is not tangent at x beyond tolerance")
-    if model.sff is not None:
-        return model.sff(x, v, w)
-    return _sff_fd(model, x, v, w)
-
-
-def _sff_fd(model: EmbeddedModel, x: Array, v: Array, w: Array) -> Array:
-    # bilinearity: differentiate along the unit direction of v, scale back after
-    nv = np.asarray(vec_norm(v))
-    vhat = v / np.where(nv == 0.0, 1.0, nv)[..., None]
-    if model.dprojection is not None:
-        dP = model.dprojection(x, vhat)
-    else:
-        h = np.asarray(FD_REL_STEP * (1.0 + vec_norm(x)))
-        hv = h[..., None] * vhat
-        dP = (model.projection(x + hv) - model.projection(x - hv)) / (2.0 * h)[..., None, None]
-    dPw = np.einsum("...ij,...j->...i", dP, w)
-    alpha_unit = dPw - model.tangent_project(x, dPw)
-    return nv[..., None] * alpha_unit
+    return model.sff(x, v, w)
 
 
 def pole_distance(model: ManifoldModel, data: CurvatureData, x: Array):
@@ -346,37 +336,20 @@ def pole_distance(model: ManifoldModel, data: CurvatureData, x: Array):
 # built-in embedded models
 # ----------------------------------------------------------------------
 
-def _sphere_projection(x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    n2 = np.sum(x * x, axis=-1)[..., None, None]
-    outer = x[..., :, None] * x[..., None, :]
-    return np.eye(x.shape[-1]) - outer / n2
-
-
-def _sphere_dprojection(x: Array, v: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n2 = np.sum(x * x, axis=-1)[..., None, None]
-    xv = np.sum(x * v, axis=-1)[..., None, None]
-    sym = x[..., :, None] * v[..., None, :] + v[..., :, None] * x[..., None, :]
-    outer = x[..., :, None] * x[..., None, :]
-    return -sym / n2 + 2.0 * xv * outer / (n2 * n2)
-
-
 def sphere_model(n: int) -> EmbeddedModel:
-    """Unit sphere S^{n-1} isometrically embedded in R^n."""
+    """Unit sphere S^{n-1} isometrically embedded in R^n, normal x/|x|."""
     if n < 2:
         raise ContractError("sphere needs ambient dimension >= 2")
 
-    def sff(x, v, w):
-        x = np.asarray(x, dtype=float)
-        inner = np.sum(np.asarray(v, dtype=float) * np.asarray(w, dtype=float), axis=-1)
-        n2 = np.sum(x * x, axis=-1)
-        return -(inner / n2)[..., None] * x
-
-    def retraction(x):
+    def normal(x):
         x = np.asarray(x, dtype=float)
         return x / vec_norm(x)[..., None]
+
+    def dnormal(x, v):
+        x = np.asarray(x, dtype=float)
+        r = vec_norm(x)[..., None]
+        nu = x / r
+        return (v - nu * np.sum(nu * v, axis=-1)[..., None]) / r
 
     def ricci(x, v):
         v = np.asarray(v, dtype=float)
@@ -386,30 +359,8 @@ def sphere_model(n: int) -> EmbeddedModel:
         pts = rng.standard_normal((k, n))
         return pts / vec_norm(pts)[..., None]
 
-    def mean_curvature(x):
-        x = np.asarray(x, dtype=float)
-        n2 = np.sum(x * x, axis=-1)[..., None]
-        return -(n - 1) * x / n2
-
-    return EmbeddedModel(
-        name=f"sphere({n})", ambient_dim=n, intrinsic_dim=n - 1,
-        projection=_sphere_projection, retraction=retraction,
-        sff=sff, dprojection=_sphere_dprojection, ricci=ricci,
-        sampler=sampler, mean_curvature=mean_curvature,
-    )
-
-
-def _paraboloid_projection(x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    u = x[..., :2]
-    uu = np.sum(u * u, axis=-1)[..., None, None]
-    # J = [[I2], [u^T]], P = J (I + u u^T)^{-1} J^T via Sherman-Morrison
-    J = np.zeros(x.shape[:-1] + (3, 2))
-    J[..., 0, 0] = 1.0
-    J[..., 1, 1] = 1.0
-    J[..., 2, :] = u
-    inv = np.eye(2) - (u[..., :, None] * u[..., None, :]) / (1.0 + uu)
-    return np.einsum("...ik,...kl,...jl->...ij", J, inv, J)
+    return EmbeddedModel(name=f"sphere({n})", ambient_dim=n, normal=normal, dnormal=dnormal,
+                         retraction=normal, ricci=ricci, sampler=sampler)
 
 
 def paraboloid_model() -> EmbeddedModel:
@@ -418,20 +369,6 @@ def paraboloid_model() -> EmbeddedModel:
     Gaussian curvature K = (1 + |u|^2)^{-2} > 0, so the sectional lower bound
     L = 1 is valid and the vertex distance has a closed form along meridians.
     """
-
-    def retraction(x):
-        x = np.asarray(x, dtype=float).copy()
-        x[..., 2] = 0.5 * np.sum(x[..., :2] ** 2, axis=-1)
-        return x
-
-    def sff(x, v, w):
-        x = np.asarray(x, dtype=float)
-        q = np.sum(np.asarray(v, dtype=float)[..., :2] * np.asarray(w, dtype=float)[..., :2], axis=-1)
-        e3 = np.zeros(x.shape[:-1] + (3,))
-        e3[..., 2] = 1.0
-        P = _paraboloid_projection(x)
-        y_e3 = e3 - np.einsum("...ij,...j->...i", P, e3)
-        return q[..., None] * y_e3
 
     def ricci(x, v):
         x = np.asarray(x, dtype=float)
@@ -456,47 +393,42 @@ def paraboloid_model() -> EmbeddedModel:
         z = 0.5 * np.sum(u * u, axis=-1)
         return np.concatenate([u, z[:, None]], axis=1)
 
-    def mean_curvature(x):
-        # trace alpha = tr(P Q) Y e3 with Q the chart-plane quadratic form
-        x = np.asarray(x, dtype=float)
-        P = _paraboloid_projection(x)
-        trq = P[..., 0, 0] + P[..., 1, 1]
-        e3 = np.zeros(x.shape[:-1] + (3,))
-        e3[..., 2] = 1.0
-        y_e3 = e3 - np.einsum("...ij,...j->...i", P, e3)
-        return trq[..., None] * y_e3
-
-    return EmbeddedModel(
-        name="paraboloid", ambient_dim=3, intrinsic_dim=2,
-        projection=_paraboloid_projection, retraction=retraction,
-        sff=sff, ricci=ricci, pole=np.zeros(3), pole_distance=pole_dist,
-        sampler=sampler, mean_curvature=mean_curvature,
-    )
+    return graph_model(2, lambda u: 0.5 * np.sum(u ** 2, axis=-1), lambda u: u,
+                       lambda u, w: w, name="paraboloid", ricci=ricci, pole=np.zeros(3),
+                       pole_distance=pole_dist, sampler=sampler)
 
 
 def graph_model(dim: int, height: Callable[[Array], Array],
-                grad_height: Callable[[Array], Array]) -> EmbeddedModel:
+                grad_height: Callable[[Array], Array],
+                hess_height: Callable[[Array, Array], Array],
+                name: Optional[str] = None, **extras) -> EmbeddedModel:
     """Graph embedding u -> (u, h(u)) of R^dim into R^{dim+1}.
 
-    Second fundamental form falls back to finite differences of the
-    projection field unless the caller attaches one.
+    ``hess_height(u, w)`` applies the Hessian of h at u to w.  The normal is
+    (-grad h, 1)/s with s = sqrt(1 + |grad h|^2); its derivative along v is the
+    tangent part of (-Hess h v_u, 0)/s.  ``extras`` (Ricci, pole distance,
+    sampler, admissible set) are passed on to ``EmbeddedModel``.
     """
 
-    def projection(x):
+    def normal(x):
+        g = np.asarray(grad_height(np.asarray(x, dtype=float)[..., :dim]), dtype=float)
+        nu = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+        return nu / vec_norm(nu)[..., None]
+
+    def dnormal(x, v):
         x = np.asarray(x, dtype=float)
         u = x[..., :dim]
         g = np.asarray(grad_height(u), dtype=float)
-        # tangent basis rows (e_j, dh/du_j); normal nu ~ (-grad h, 1)
-        nu = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-        nu = nu / vec_norm(nu)[..., None]
-        return np.eye(dim + 1) - nu[..., :, None] * nu[..., None, :]
+        s = np.sqrt(1.0 + np.sum(g * g, axis=-1))[..., None]
+        hv = np.asarray(hess_height(u, np.asarray(v, dtype=float)[..., :dim]), dtype=float)
+        nu = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1) / s
+        dn = np.concatenate([-hv, np.zeros(hv.shape[:-1] + (1,))], axis=-1)
+        return (dn - nu * np.sum(nu * dn, axis=-1)[..., None]) / s
 
     def retraction(x):
         x = np.asarray(x, dtype=float).copy()
         x[..., dim] = np.asarray(height(x[..., :dim]))
         return x
 
-    return EmbeddedModel(
-        name=f"graph({dim})", ambient_dim=dim + 1, intrinsic_dim=dim,
-        projection=projection, retraction=retraction,
-    )
+    return EmbeddedModel(name=name or f"graph({dim})", ambient_dim=dim + 1, normal=normal,
+                         dnormal=dnormal, retraction=retraction, **extras)

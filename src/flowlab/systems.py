@@ -21,15 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapabilityError, ContractError
-from .geometry import (
-    FD_REL_STEP,
-    TANGENCY_TOL,
-    EmbeddedModel,
-    ManifoldModel,
-    vec_norm,
-)
+from .geometry import TANGENCY_TOL, EmbeddedModel, ManifoldModel, vec_norm
 
 Array = np.ndarray
+
+#: relative step for finite-difference derivatives of user-supplied fields
+FD_REL_STEP = 1e-5
 
 STRATONOVICH = "stratonovich"
 ITO = "ito"
@@ -234,24 +231,18 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
     """Gradient Brownian system of an isometric embedding: X(x)e = P(x)e.
 
     The Stratonovich drift equals Z because sum grad X^i(X^i) = 0 for gradient
-    systems; the diffusion jacobian is the analytic projection derivative when
-    the model carries one, else a central finite difference of the projection
-    field.  Z must be tangent (contract-checked on every evaluation).
+    systems.  With P = I - nu nu^T the diffusion jacobian is exact:
+    D_v X(x)e = -(D_v nu <nu, e> + nu <D_v nu, e>).  Z must be tangent
+    (contract-checked on every evaluation).
     """
     m = model.ambient_dim
 
-    def diffusion(x, e):
-        e = np.broadcast_to(np.asarray(e, dtype=float), np.asarray(x, dtype=float).shape)
-        return model.tangent_project(x, e)
-
-    if model.dprojection is not None:
-        def diffusion_jacobian(x, e, v):
-            dP = model.dprojection(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-            e = np.broadcast_to(np.asarray(e, dtype=float), np.asarray(x, dtype=float).shape)
-            return np.einsum("...ij,...j->...i", dP, e)
-    else:
-        def diffusion_jacobian(x, e, v):
-            return fd_directional(lambda y: diffusion(y, e), x, v)
+    def diffusion_jacobian(x, e, v):
+        x = np.asarray(x, dtype=float)
+        e = np.asarray(e, dtype=float)
+        nu = model.normal(x)
+        dn = model.dnormal(x, np.asarray(v, dtype=float))
+        return -(dn * np.sum(nu * e, axis=-1)[..., None] + nu * np.sum(dn * e, axis=-1)[..., None])
 
     if drift_z is None:
         drift = zero_field
@@ -269,7 +260,7 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
     return VectorFieldSystem(
         name=name or f"gradient_brownian[{model.name}]",
         dim=m, noise_dim=m,
-        diffusion=diffusion, drift=drift,
+        diffusion=model.tangent_project, drift=drift,
         diffusion_jacobian=diffusion_jacobian, drift_jacobian=drift_jac,
         calculus=STRATONOVICH, model=model,
         is_gradient=True,

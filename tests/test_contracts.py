@@ -22,6 +22,7 @@ from flowlab import (
     observable,
     schedule_for,
 )
+from flowlab.estimators import _estimate_from_exponents
 from flowlab.flow import StepSchedule
 from flowlab.parallel import run_chunks
 
@@ -119,3 +120,25 @@ def test_moment_exponent_on_grid_horizons():
     # 1 - dt + dt^2/2 per step, so log E|T_xF_t|^2 = 2 (t/dt) log(1 - dt + dt^2/2)
     heun = [2 * n * math.log(1 - 0.01 + 0.01 ** 2 / 2) for n in (2, 3, 5)]
     assert res.log_moments == pytest.approx(heun, rel=1e-9)
+
+
+def test_exponent_mean_does_not_overflow():
+    # 1e5 exponents of 699 sum past the largest double in linear space: the
+    # estimate used to be inf with se 0, flagged invalid
+    est = _estimate_from_exponents(np.full(100_000, 699.0), seed=0)
+    assert est.log_space and not est.invalid
+    assert est.value == 699.0 and est.se == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(600.0, 720.0), st.integers(1, 6),
+       st.lists(st.floats(-2.0, 0.0), min_size=1, max_size=8))
+def test_exponent_mean_is_log_mean_exp(top, reps, offsets):
+    # near the overflow threshold, linear or log space, the estimate is the
+    # finite log-mean-exp of the exponents
+    expo = np.tile(top + np.array(offsets), reps * 1000)
+    est = _estimate_from_exponents(expo, seed=0)
+    assert not est.invalid
+    log_value = est.value if est.log_space else math.log(est.value)
+    want = top + math.log(np.mean(np.exp(np.array(offsets))))
+    assert log_value == pytest.approx(want, rel=1e-12)

@@ -261,6 +261,21 @@ class TestCertify:
         assert rep.status_of("Prop7.2") == "certified"
         assert rep.status_of("Thm8.2") == "certified"
 
+    def test_drift_conditions_closed_forms(self):
+        # Z = 0 on both built-ins, so 2<grad_v Z, v> - Ric(v, v) is -Ric(v, v):
+        # -(n - 2) = -1 on the unit 2-sphere, -(1 + |u|^2)^{-2} on the paraboloid,
+        # whose worst sample point is the one farthest from the vertex
+        sph = builtin("sphere(3)")
+        rep = certify(sph.system, CertifyConfig(theorems=("Cor5.2",), curvature=sph.curvature))
+        assert rep.entries[0].constants["drift_curvature_upper_bound"] == pytest.approx(-1.0, abs=1e-12)
+        par = builtin("paraboloid")
+        config = CertifyConfig(theorems=("Cor5.2", "Thm7.1"), curvature=par.curvature)
+        consts = {e.theorem: e.constants for e in certify(par.system, config).entries}
+        u2 = np.sum(SampleSet.build(par.model, config.radii, config.n_directions).x[:, :2] ** 2, axis=-1)
+        assert consts["Cor5.2"]["drift_curvature_upper_bound"] == pytest.approx(
+            np.max(-1.0 / (1.0 + u2) ** 2), rel=1e-12)
+        assert abs(consts["Thm7.1"]["effective_drift_radial"]) <= 1e-15
+
     def test_punctured_not_applicable(self):
         scn = builtin("punctured_translation(2)")
         rep = certify(scn.system, CertifyConfig(theorems=("Cor5.2", "Thm6.2")))
@@ -362,9 +377,10 @@ class TestSampleSetReductions:
         assert not prof.ok()
 
     def test_point_without_tangent_direction_rejected(self):
-        # a degenerate projection kills every direction at every point
-        model = EmbeddedModel("degenerate", 2, 1,
-                              projection=lambda x: np.zeros(np.shape(x) + (2,)),
+        # a degenerate (NaN) normal field kills every direction at every point
+        model = EmbeddedModel("degenerate", 2,
+                              normal=lambda x: np.full(np.shape(x), np.nan),
+                              dnormal=lambda x, v: np.full(np.shape(v), np.nan),
                               retraction=lambda x: x,
                               sampler=lambda rng, k: rng.standard_normal((k, 2)))
         with pytest.raises(ContractError):

@@ -6,11 +6,13 @@ oracle noted inline before being frozen here.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowlab import (
     ContractError,
     builtin,
+    eval_Hp,
     estimate_exponential_functional,
     estimate_girsanov_one_completeness,
     estimate_moment_exponent,
@@ -20,7 +22,15 @@ from flowlab import (
     graph_model,
     gradient_brownian_from_embedding,
 )
-from flowlab.estimators import Z95, MomentEstimate, _estimate_from_exponents, _mean_estimate, _sup_estimate
+from flowlab.criteria import tangent_directions
+from flowlab.estimators import (
+    Z95,
+    MomentEstimate,
+    _estimate_from_exponents,
+    _mean_estimate,
+    _sup_estimate,
+    sup_h1_field,
+)
 
 
 class TestSupDerivativeMoment:
@@ -310,7 +320,8 @@ class TestGirsanovFunctional:
 
     def test_flat_gradient_system_is_one(self):
         # totally geodesic graph embedding: H_1 = 0 identically
-        m = graph_model(2, lambda u: np.zeros(u.shape[:-1]), lambda u: np.zeros_like(u))
+        m = graph_model(2, lambda u: np.zeros(u.shape[:-1]), lambda u: np.zeros_like(u),
+                        lambda u, w: np.zeros_like(w))
         m.mean_curvature = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         sys0 = gradient_brownian_from_embedding(m)
         res = estimate_girsanov_one_completeness(sys0, [[0.0, 0.0, 0.0]], t=0.5,
@@ -326,6 +337,23 @@ class TestGirsanovFunctional:
         assert np.isfinite(res.sup.value)
         assert res.sup.value > 0
         assert np.isfinite(res.sup.se)
+
+
+@pytest.mark.parametrize("name", ["sphere(3)", "paraboloid"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sup_h1_field_equals_stacked_pairs(name, data):
+    scn = builtin(name)
+    n = data.draw(st.integers(1, 5))
+    xs = data.draw(arrays(float, (n, 3), elements=st.floats(-3.0, 3.0, allow_nan=False)))
+    assume(np.all(np.linalg.norm(xs, axis=-1) > 0.1))
+    x = scn.model.retract(xs)
+    field = sup_h1_field(scn.system, n_directions=16)(x)
+    single = [max(eval_Hp(scn.system, p, v, 1.0, backend="gauss")
+                  for v in tangent_directions(scn.model, p, 16)) for p in x]
+    assert field.shape == (n,)
+    np.testing.assert_allclose(field, single, rtol=1e-12,
+                               atol=1e-12 * (1.0 + np.max(np.abs(single))))
 
 
 def test_worker_count_does_not_change_results():

@@ -136,7 +136,8 @@ class TestAdjoint:
 class TestGradientBrownian:
     def test_identity_embedding_is_translation(self):
         from flowlab import graph_model
-        m = graph_model(2, lambda u: np.zeros(u.shape[:-1]), lambda u: np.zeros_like(u))
+        m = graph_model(2, lambda u: np.zeros(u.shape[:-1]), lambda u: np.zeros_like(u),
+                        lambda u, w: np.zeros_like(w))
         sys0 = gradient_brownian_from_embedding(m)
         x = np.array([0.2, -0.7, 0.0])
         e = np.array([1.0, 2.0, 0.0])
