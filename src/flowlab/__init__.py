@@ -45,13 +45,10 @@ from .expressions import compile_expression, load_system
 from .flow import (
     BrownianDriver,
     CurveSample,
-    ExitRadius,
-    ExitSet,
-    Horizon,
     StepSchedule,
-    exit_time,
     integrate_derivative_flow,
     integrate_flow,
+    outside_balls,
     schedule_for,
     segment_curve,
     transport_curve,

@@ -31,7 +31,8 @@ import numpy as np
 
 from .criteria import _directions_at, eval_Hp
 from .errors import CapabilityError, ContractError
-from .flow import BrownianDriver, StepSchedule, Stepper, chunk_paths, propagate, schedule_for
+from .flow import (BrownianDriver, StepSchedule, Stepper, chunk_paths, outside_balls, propagate,
+                   schedule_for)
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
 from .parallel import run_chunks
 from .systems import VectorFieldSystem
@@ -150,9 +151,25 @@ def _grid_array(grid) -> Array:
     g = np.asarray(grid, dtype=float)
     if g.ndim == 1:
         g = g[None, :]
-    if g.ndim != 2:
-        raise ContractError("grid must be a point or an array of points")
+    if g.ndim != 2 or g.size == 0 or not np.isfinite(g).all():
+        raise ContractError("grid must be a point or a nonempty array of points, with finite coordinates")
     return g
+
+
+def _ladder(values, what: str, min_len: int = 1) -> List[float]:
+    """values as floats, checked to form a ladder: at least min_len rungs,
+    none NaN, strictly increasing."""
+    values = [float(v) for v in values]
+    if len(values) < min_len or np.isnan(values).any() \
+            or any(b <= a for a, b in zip(values, values[1:])):
+        raise ContractError(f"{what} must be strictly increasing, without NaN, "
+                            f"with at least {min_len} rung(s); got {values!r}")
+    return values
+
+
+def _check_p(p: float) -> None:
+    if not (np.isfinite(p) and p > 0):
+        raise ContractError(f"p must be finite and positive, got {p!r}")
 
 
 def _grid_frames(system: VectorFieldSystem, grid: Array) -> Array:
@@ -225,8 +242,7 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
     paths keep their running max up to explosion and flag the estimate as a
     lower bound.
     """
-    if p <= 0:
-        raise ContractError("p must be positive")
+    _check_p(p)
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
@@ -272,17 +288,20 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
                             t: float, n_paths: int, seed: int, dt: float = 1e-3,
                             center=None, stream0: int = 0, workers: int = 1) -> StoppedMomentResult:
     """sup_{x in K} E(|T_xF_{S_j^K}| 1{S_j^K < t}) along an increasing radius
-    ladder, where S_j^K is the first time any grid member leaves radius R_j.
+    ladder, where S_j^K is the first time any grid member is outside ball j
+    (:func:`flow.outside_balls`: past radius R_j about ``center``, or
+    exploded).  Exits are looked for at grid steps 1..n-1 of the n-step grid:
+    the start does not count, and an exit at step n is not before t.
 
     The diagnostic liminf proxy is the min of the three largest rungs.
     """
-    radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ContractError("radius ladder must be strictly increasing")
+    radii = _ladder(radii, "radius ladder")
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     c = np.zeros(grid.shape[1]) if center is None else np.asarray(center, dtype=float)
+    if c.shape != grid.shape[1:] or not np.isfinite(c).all():
+        raise ContractError(f"center must be one finite point of dimension {grid.shape[1]}")
     J = len(radii)
 
     def chunk(lo, hi):
@@ -291,11 +310,8 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
         for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
             if s.k == 0:
                 continue
-            dist = vec_norm(s.x - c)                          # (C, G)
             logF = lognorm()
-            # a member that explodes has left every radius
-            outside = (dist[:, :, None] > np.asarray(radii)) | (~s.alive)[:, :, None]
-            trig = outside.any(axis=1)                        # (C, J)
+            trig = outside_balls(s, vec_norm(s.x - c), radii).any(axis=1)   # (C, J)
             newly = trig & ~stopped
             if s.k < sched.n_steps:                           # strict S_j < t
                 with np.errstate(over="ignore"):
@@ -406,23 +422,29 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
                            dt: float = 1e-3, radius_ladder: Sequence[float] = (),
                            k0: Optional[float] = None, stream0: int = 0,
                            workers: int = 1) -> RadialMomentResult:
-    """E(1 + r(x_t))^p plus exit probabilities P(T_n < t) for a radius ladder,
-    compared against the envelope (1 + r(x0))^p e^{k0 (1 + p^2) t} when a k0
-    is supplied."""
+    """E(1 + r(x_t))^p plus, for each rung R_n of a radius ladder, the
+    probability that the path is outside the ball r <= R_n
+    (:func:`flow.outside_balls`: past R_n, or exploded) at some grid step
+    0..n of the n-step grid, which is P(T_n <= t) on the grid and counts a
+    start outside the ball.  The moment is compared against the envelope
+    (1 + r(x0))^p e^{k0 (1 + p^2) t} when a k0 is supplied."""
     radial = _radial_fn(system, curvature)
     x0 = np.asarray(x0, dtype=float)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
-    ladder = [float(n) for n in radius_ladder]
+    ladder = _ladder(radius_ladder, "radius ladder", min_len=0)
+    keys = [f"{n_rad:g}" for n_rad in ladder]
+    if len(set(keys)) < len(keys):
+        raise ContractError(f"radius ladder rungs {keys!r} must differ in their report keys")
 
     def chunk(lo, hi):
         x, dW = chunk_paths(driver, lo, hi, sched, x0)
-        rmax = -np.inf
+        hits = np.zeros((hi - lo, len(ladder)), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 r = np.asarray(radial(s.x))
-                rmax = np.maximum(rmax, np.where(s.alive, r, np.inf))
-        return {"r_final": r, "r_max": rmax, "trunc": ~s.alive}
+                hits |= outside_balls(s, r, ladder)
+        return {"r_final": r, "hits": hits, "trunc": ~s.alive}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())
@@ -430,10 +452,10 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     moment = _mean_estimate(values, seed, truncated=trunc)
     r0 = float(np.asarray(radial(x0[None, :]))[0])
     exit_p, exit_se = {}, {}
-    for n_rad in ladder:
-        hits = (out["r_max"] > n_rad).astype(float)
-        exit_p[f"{n_rad:g}"] = float(np.mean(hits))
-        exit_se[f"{n_rad:g}"] = float(np.std(hits) / np.sqrt(hits.size))
+    for j, key in enumerate(keys):
+        hits = out["hits"][:, j].astype(float)
+        exit_p[key] = float(np.mean(hits))
+        exit_se[key] = float(np.std(hits) / np.sqrt(hits.size))
     bound = bound_ok = exit_bounds = None
     if k0 is not None:
         bound = float((1.0 + r0) ** p * np.exp(k0 * (1.0 + p * p) * sched.horizon))
@@ -474,9 +496,8 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
                              workers: int = 1) -> MomentExponentResult:
     """Least-squares slope of log sup_K E|T_xF_t|^p over a horizon ladder;
     negative slopes witness p-th-moment stability."""
-    horizons = [float(h) for h in horizons]
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ContractError("horizons must be strictly increasing")
+    _check_p(p)
+    horizons = _ladder(horizons, "horizons")
     grid = _grid_array(grid)
     sched = schedule_for(horizons[-1], dt)
     # each horizon must be a grid time, so that the moment reported for t is

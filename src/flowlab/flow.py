@@ -16,13 +16,15 @@ member explodes when the model's escape coordinate exceeds a finite radius
 (default 1e6) or the state leaves floating-point range, and is then frozen at
 its last finite state; a member that leaves the admissible set (a punctured
 model's exclusion ball) is recorded with its first exit step but keeps moving.
-Stopping times are resolved to grid points, a bias of order dt.
+Exits from a ladder of balls are read off the propagated states by one
+predicate, :func:`outside_balls`: past the radius or exploded.  Stopping times
+are resolved to grid points, a bias of order dt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -96,41 +98,6 @@ class BrownianDriver:
 
     def __repr__(self):
         return f"BrownianDriver(seed={self.seed}, stream={self.stream}, dim={self.dim})"
-
-
-# ----------------------------------------------------------------------
-# stop rules
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StopRule:
-    kind: str
-    radius: float = 0.0
-    center: Optional[Array] = None
-    indicator: Optional[Callable[[Array], Array]] = None
-    t: float = 0.0
-
-    def triggered(self, x: Array) -> Array:
-        if self.kind == "exit_radius":
-            c = 0.0 if self.center is None else np.asarray(self.center, dtype=float)
-            return vec_norm(np.asarray(x, dtype=float) - c) > self.radius
-        if self.kind == "exit_set":
-            return np.asarray(self.indicator(x), dtype=bool)
-        if self.kind == "horizon":
-            return np.zeros(np.asarray(x).shape[:-1], dtype=bool)
-        raise ContractError(f"unknown stop rule {self.kind!r}")
-
-
-def ExitRadius(radius: float, center=None) -> StopRule:
-    return StopRule(kind="exit_radius", radius=float(radius), center=None if center is None else np.asarray(center, dtype=float))
-
-
-def ExitSet(indicator: Callable[[Array], Array]) -> StopRule:
-    return StopRule(kind="exit_set", indicator=indicator)
-
-
-def Horizon(t: float) -> StopRule:
-    return StopRule(kind="horizon", t=float(t))
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +211,14 @@ def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = Fa
                     v = np.where(keep_v, v1, v)
             alive = keep
         yield PathState(k + 1, x, v, alive, expl_step, exit_step, logw)
+
+
+def outside_balls(state: PathState, dist: Array, radii) -> Array:
+    """The one exit rule for a radius ladder: a member of ``state`` is outside
+    ball j once it is past radius R_j, ``dist > radii[j]``, or has exploded,
+    since explosion leaves every compact set.  ``dist`` (...,) is each
+    member's distance from the centre; the result is (..., J)."""
+    return (dist[..., None] > np.asarray(radii)) | ~state.alive[..., None]
 
 
 def chunk_paths(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule, x):
@@ -399,39 +374,8 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
 
 
 # ----------------------------------------------------------------------
-# exit times, curve transport
+# curve transport
 # ----------------------------------------------------------------------
-
-@dataclass
-class ExitTimes:
-    steps: Array        # per-member first triggering step, n_steps if never
-    times: Array
-    triggered: Array    # bool per member
-    min_step: int       # S^K over the batch
-    min_time: float
-
-
-def exit_time(result: FlowResult, rule: StopRule) -> ExitTimes:
-    """First grid step where the rule triggers, per member; horizon if never.
-
-    Explosion counts as having left every bounded set, so an exploded member
-    that has not yet triggered the rule triggers at its explosion step.
-    """
-    n_steps = result.states.shape[0] - 1
-    sched_dt = result.times[1] - result.times[0]
-    if rule.kind == "horizon":
-        step = min(n_steps, int(round(rule.t / sched_dt)))
-        steps = np.full(result.n_members, step, dtype=int)
-        trig = np.ones(result.n_members, dtype=bool)
-    else:
-        mask = rule.triggered(result.states)  # (n+1, B)
-        expl = result.exploded[None, :] & (np.arange(n_steps + 1)[:, None] >= result.explosion_step[None, :])
-        mask = mask | expl
-        trig = mask.any(axis=0)
-        steps = np.where(trig, mask.argmax(axis=0), n_steps)
-    return ExitTimes(steps=steps, times=steps * sched_dt, triggered=trig,
-                     min_step=int(steps.min()), min_time=float(steps.min() * sched_dt))
-
 
 @dataclass(frozen=True)
 class CurveSample:

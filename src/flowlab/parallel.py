@@ -30,8 +30,8 @@ def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],
                workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dict[str, np.ndarray]:
     """Apply fn(lo, hi) over fixed chunks of [0, n_paths) and concatenate results."""
     global _ACTIVE_FN
-    if n_paths < 1:
-        raise ContractError(f"need at least one path, got n_paths={n_paths!r}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ContractError(f"need a whole number of paths >= 1, got n_paths={n_paths!r}")
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     if workers <= 1 or len(spans) == 1:
         parts = [fn(lo, hi) for lo, hi in spans]

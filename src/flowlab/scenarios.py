@@ -100,19 +100,24 @@ def _inversion_oracle(x0: Array, dW: Array, dt: float) -> OracleResult:
 # scenario factories
 # ----------------------------------------------------------------------
 
-def _translation_system(dim: int, model=None) -> VectorFieldSystem:
+def _additive_system(name: str, dim: int, drift, drift_jacobian, model=None) -> VectorFieldSystem:
+    """dx = drift(x) dt + dB with unit additive noise, B of dimension dim."""
     def diffusion(x, e):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.asarray(e, dtype=float), x.shape).astype(float)
 
     return VectorFieldSystem(
-        name=f"translation({dim})", dim=dim, noise_dim=dim,
-        diffusion=diffusion, drift=zero_field,
+        name=name, dim=dim, noise_dim=dim,
+        diffusion=diffusion, drift=drift,
         diffusion_jacobian=lambda x, e, v: np.zeros_like(np.asarray(v, dtype=float)),
-        drift_jacobian=zero_jacobian,
+        drift_jacobian=drift_jacobian,
         calculus=STRATONOVICH, model=model or FlatModel(dim),
         constant_diffusion=True,
     )
+
+
+def _translation_system(dim: int, model=None) -> VectorFieldSystem:
+    return _additive_system(f"translation({dim})", dim, zero_field, zero_jacobian, model)
 
 
 def _scn_translation(dim: int) -> Scenario:
@@ -205,20 +210,8 @@ def _scn_ou(dim: int) -> Scenario:
     def drift_jacobian(x, v):
         return -np.asarray(v, dtype=float)
 
-    def diffusion(x, e):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(e, dtype=float), x.shape).astype(float)
-
-    sys_ = VectorFieldSystem(
-        name=f"ou({dim})", dim=dim, noise_dim=dim,
-        diffusion=diffusion, drift=drift,
-        diffusion_jacobian=lambda x, e, v: np.zeros_like(np.asarray(v, dtype=float)),
-        drift_jacobian=drift_jacobian,
-        calculus=STRATONOVICH, model=FlatModel(dim),
-        constant_diffusion=True,
-    )
     return Scenario(
-        name=f"ou({dim})", system=sys_,
+        name=f"ou({dim})", system=_additive_system(f"ou({dim})", dim, drift, drift_jacobian),
         curvature=CurvatureData(pole=np.zeros(dim)),
         oracle=ou_exact_states,
         notes="Linear restoring drift with unit additive noise; the derivative "
@@ -328,20 +321,8 @@ def _scn_linear(matrix=None) -> Scenario:
     def drift_jacobian(x, v):
         return np.einsum("ij,...j->...i", M, np.asarray(v, dtype=float))
 
-    def diffusion(x, e):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(e, dtype=float), x.shape).astype(float)
-
-    sys_ = VectorFieldSystem(
-        name=f"linear({dim})", dim=dim, noise_dim=dim,
-        diffusion=diffusion, drift=drift,
-        diffusion_jacobian=lambda x, e, v: np.zeros_like(np.asarray(v, dtype=float)),
-        drift_jacobian=drift_jacobian,
-        calculus=STRATONOVICH, model=FlatModel(dim),
-        constant_diffusion=True,
-    )
     return Scenario(
-        name=f"linear({dim})", system=sys_,
+        name=f"linear({dim})", system=_additive_system(f"linear({dim})", dim, drift, drift_jacobian),
         curvature=CurvatureData(pole=np.zeros(dim)),
         oracle=None,
         notes="Additive noise with linear drift matrix; derivative flow is "

@@ -16,6 +16,8 @@ from flowlab import (
     estimate_deltaPt,
     estimate_exponential_functional,
     estimate_moment_exponent,
+    estimate_radial_moment,
+    estimate_stopped_moment,
     estimate_sup_derivative_moment,
     gradient_consistency_check,
     integrate_flow,
@@ -31,6 +33,14 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @given(st.integers(max_value=0))
 def test_run_chunks_needs_a_path(n_paths):
+    with pytest.raises(ContractError):
+        run_chunks(n_paths, lambda lo, hi: {"k": np.arange(lo, hi)})
+
+
+@given(st.floats(allow_nan=False).filter(lambda n: n != int(n) if math.isfinite(n) else True)
+       | st.integers(1, 5).map(float) | st.just("3"))
+def test_run_chunks_needs_a_whole_number_of_paths(n_paths):
+    # 2.5 used to raise a raw TypeError from range(); a path count is an int
     with pytest.raises(ContractError):
         run_chunks(n_paths, lambda lo, hi: {"k": np.arange(lo, hi)})
 
@@ -142,3 +152,108 @@ def test_exponent_mean_is_log_mean_exp(top, reps, offsets):
     log_value = est.value if est.log_space else math.log(est.value)
     want = top + math.log(np.mean(np.exp(np.array(offsets))))
     assert log_value == pytest.approx(want, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# grids, moment orders, radius ladders and centres
+# ----------------------------------------------------------------------
+
+BAD_GRIDS = st.sampled_from([[], [[]], np.zeros((0, 1))]) \
+    | NON_FINITE.map(lambda c: [[1.0], [c]]) | NON_FINITE.map(lambda c: [c])
+
+
+@settings(max_examples=20, deadline=None)
+@given(BAD_GRIDS)
+def test_grids_must_be_nonempty_and_finite(grid):
+    # an empty grid used to raise a raw IndexError or ValueError, and a NaN
+    # point ran and reported 1.0
+    ou = builtin("ou(1)")
+    kw = dict(n_paths=3, seed=0, dt=0.01)
+    calls = [lambda: estimate_sup_derivative_moment(ou.system, grid, 1.0, 0.02, **kw),
+             lambda: estimate_stopped_moment(ou.system, grid, [1.0, 2.0], 0.02, **kw),
+             lambda: estimate_moment_exponent(ou.system, grid, 1.0, [0.01, 0.02], **kw)]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
+
+
+@settings(max_examples=20, deadline=None)
+@given(NON_FINITE | st.floats(max_value=0.0))
+def test_moment_order_must_be_finite_and_positive(p):
+    # p = nan or inf used to return a nan estimate
+    ou = builtin("ou(1)")
+    kw = dict(n_paths=3, seed=0, dt=0.01)
+    with pytest.raises(ContractError):
+        estimate_sup_derivative_moment(ou.system, [1.0], p, 0.02, **kw)
+    with pytest.raises(ContractError):
+        estimate_moment_exponent(ou.system, [1.0], p, [0.01, 0.02], **kw)
+
+
+LADDERS = st.lists(st.floats(0.1, 100.0), min_size=1, max_size=5,
+                   unique_by=lambda r: f"{r:g}").map(sorted)
+
+
+@st.composite
+def bad_ladders(draw):
+    """A ladder with a NaN rung, or with two rungs out of order or equal."""
+    rungs = draw(LADDERS)
+    i = draw(st.integers(0, len(rungs)))
+    if draw(st.booleans()):
+        return rungs[:i] + [math.nan] + rungs[i:]
+    j = min(i, len(rungs) - 1)
+    return rungs[:j + 1] + [draw(st.floats(0.0, rungs[j]))] + rungs[j + 1:]
+
+
+def _stopped(radii, grid=(1.0,), center=None):
+    ou = builtin(f"ou({len(grid)})")
+    return estimate_stopped_moment(ou.system, [list(grid)], radii, 0.02, 3, seed=0, dt=0.01,
+                                   center=center)
+
+
+def _radial(radii):
+    tr = builtin("translation(2)")
+    return estimate_radial_moment(tr.system, tr.curvature, [0.0, 0.0], 1.0, 0.02, 3, seed=0,
+                                  dt=0.01, radius_ladder=radii)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad_ladders())
+def test_radius_ladders_are_strictly_increasing_without_nan(radii):
+    # a NaN rung used to run and report radius nan (stopped moments) or the
+    # key "nan" (radial), and equal rungs merged into one radial key
+    with pytest.raises(ContractError):
+        _stopped(radii)
+    with pytest.raises(ContractError):
+        _radial(radii)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LADDERS)
+def test_good_radius_ladders_run(radii):
+    assert _stopped(radii).radii == radii
+    assert len(_radial(radii).exit_probabilities) == len(radii)
+
+
+def test_stopped_moments_need_a_rung():
+    # radii=[] used to raise a raw ValueError from min(); radial takes no rung
+    with pytest.raises(ContractError):
+        _stopped([])
+    assert _radial([]).exit_probabilities == {}
+
+
+@given(st.floats(1.0, 1e6).map(lambda r: float(f"{r:g}")))
+def test_radial_rungs_need_distinct_report_keys(r):
+    # keys are formatted with :g, so a rung just above one that :g prints
+    # exactly would share its key
+    with pytest.raises(ContractError):
+        _radial([r, r * (1 + 1e-9)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4).filter(lambda n: n != 2) | st.just(0), st.booleans())
+def test_stopped_moment_centre_is_one_finite_point(n, bad_value):
+    # center=[5.0] on a 2-d grid used to be broadcast, a length-3 one raised a
+    # raw ValueError
+    center = [5.0] * n if not bad_value else [1.0, math.nan]
+    with pytest.raises(ContractError):
+        _stopped([1.0, 2.0], grid=(1.0, 0.0), center=center)

@@ -1,22 +1,21 @@
 """Integrator contracts: driver determinism and statistics, oracle exactness
-for additive noise, derivative-flow consistency, stop rules, curve transport,
-explosion handling."""
+for additive noise, derivative-flow consistency, the ball-exit predicate on
+propagated states, curve transport, explosion handling."""
 
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab import (
     BrownianDriver,
-    ExitRadius,
-    Horizon,
     PuncturedFlatModel,
     builtin,
-    exit_time,
     integrate_derivative_flow,
     integrate_flow,
     oracle_flow,
+    outside_balls,
     schedule_for,
     segment_curve,
     transport_curve,
@@ -248,34 +247,52 @@ class TestDerivativeFlow:
         assert np.max(tang) <= 1e-6
 
 
+def _first_exit_steps(system, x0, sched, driver, radii, **kw):
+    """First grid step at which the path from x0 is outside each ball about
+    the origin, by :func:`outside_balls` on the propagated states; n_steps + 1
+    where it never is."""
+    x, dW = chunk_paths(driver, 0, 1, sched, x0)
+    first = np.full(len(radii), sched.n_steps + 1)
+    for s in propagate(Stepper(system, **kw), x, dW, sched.dt):
+        out = outside_balls(s, np.linalg.norm(s.x, axis=-1), radii)[0]
+        first = np.where(out & (first > sched.n_steps), s.k, first)
+    return first, s
+
+
 class TestStopsAndCurves:
     def test_deterministic_drift_exit(self):
-        # dx = dt from 0 exits radius 1 at time 1 up to grid resolution
+        # dx = dt from 0 first leaves radius 1 at time 1, step 100 of dt 1e-2,
+        # up to one step of rounding in the accumulated position
         from dataclasses import replace
         tr = _translation_system(1)
         det = replace(tr, name="unit_drift",
                       diffusion=lambda x, e: np.zeros_like(np.asarray(x, dtype=float)),
                       diffusion_jacobian=lambda x, e, v: np.zeros_like(np.asarray(v, dtype=float)),
                       drift=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        sched = schedule_for(2.0, 1e-2)
-        res = integrate_flow(det, np.array([0.0]), sched, BrownianDriver(1, 1))
-        et = exit_time(res, ExitRadius(1.0))
-        assert abs(et.times[0] - 1.0) <= 1e-2 + 1e-12
+        first, _ = _first_exit_steps(det, np.array([0.0]), schedule_for(2.0, 1e-2),
+                                     BrownianDriver(1, 1), [1.0])
+        assert abs(first[0] - 100) <= 1
 
-    def test_horizon_rule(self):
-        scn = builtin("ou(1)")
-        sched = schedule_for(1.0, 1e-2)
-        res = integrate_flow(scn.system, np.array([0.0]), sched, BrownianDriver(2, 1))
-        et = exit_time(res, Horizon(0.5))
-        assert et.times[0] == pytest.approx(0.5)
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5, unique=True),
+           st.integers(0, 2 ** 32 - 1))
+    def test_nested_radii_monotone(self, radii, seed):
+        # a larger ball is left no earlier than a smaller one
+        radii = sorted(radii)
+        first, _ = _first_exit_steps(builtin("translation(2)").system, np.zeros(2),
+                                     schedule_for(1.0, 1e-2), BrownianDriver(seed, 2), radii)
+        assert np.all(np.diff(first) >= 0)
 
-    def test_nested_radii_monotone(self):
-        scn = builtin("translation(2)")
-        sched = schedule_for(1.0, 1e-2)
-        res = integrate_flow(scn.system, np.zeros(2), sched, BrownianDriver(3, 2))
-        s1 = exit_time(res, ExitRadius(0.5)).steps[0]
-        s2 = exit_time(res, ExitRadius(1.0)).steps[0]
-        assert s1 <= s2
+    def test_exploded_member_is_outside_every_ball(self):
+        # explosion leaves every compact set, the ball of radius inf included
+        radii = [1.0, 1e3, 1e5, np.inf]
+        first, last = _first_exit_steps(builtin("kunita").system, np.array([200.0, 200.0]),
+                                        schedule_for(1.0, 1e-2), BrownianDriver(8, 2), radii,
+                                        r_expl=1e4)
+        assert not last.alive[0]
+        assert np.all(outside_balls(last, np.zeros(1), radii))
+        assert first[-1] == last.explosion_step[0] <= 100
+        assert first[0] == 0 and np.all(np.diff(first) >= 0)
 
     def test_translation_preserves_length(self):
         scn = builtin("translation(2)")

@@ -1,9 +1,10 @@
-"""Number-level regression of the flow layer on the embedded built-ins.
+"""Number-level regression of the flow layer.
 
 ``data/flow_reference.json`` holds every number that ``cli.run(..., fmt="both")``
 writes for ``simulate``, ``derivative-moments`` and ``radial`` on sphere(3) and
-the paraboloid, and for ``semigroup-check`` on sphere(3): the JSON report and,
-for ``simulate``, every cell of the trajectory CSV.  A request that raises a
+the paraboloid, for ``semigroup-check`` on sphere(3), and for the exit ladders
+of ``stopped-moments`` and ``radial`` on kunita, where paths explode: the JSON
+report and, for ``simulate`` and ``stopped-moments``, every cell of the CSV.  A request that raises a
 ``FlowlabError`` is recorded by the error's class name.  Every number must
 agree with the reference to 1e-12 * max(1, |ref|); strings must be equal.  To
 record entries again from the code on ``PYTHONPATH`` (all of them when no label
@@ -37,6 +38,11 @@ CASES = {
     "radial paraboloid": ("radial", {"scenario": "paraboloid", "paths": 256, "t": 0.25}),
     "semigroup-check sphere(3)": ("semigroup-check",
                                   {"scenario": "sphere(3)", "paths": 256, "t": 0.125}),
+    "stopped-moments kunita": ("stopped-moments",
+                               {"scenario": "kunita", "paths": 256, "t": 0.25,
+                                "grid": [[12.0, 12.0]], "radii": [16.0, 32.0, 64.0, 128.0]}),
+    "radial kunita": ("radial", {"scenario": "kunita", "paths": 256, "t": 0.5,
+                                 "x0": [8.0, 8.0], "radii": [8.0, 16.0, 1e5]}),
 }
 
 
