@@ -199,8 +199,9 @@ def _frame_scan(system: VectorFieldSystem, grid: Array, sched: StepSchedule,
                 driver: BrownianDriver, lo: int, hi: int, r_expl: float = 1e6):
     """Stream the coupled (x, frame) evolution of paths lo..hi-1 from a grid:
     yield ``(state, lognorm)`` at step 0 and after every step, with x (C, G, d),
-    unit frame directions (C, G, k, d) and ``lognorm()`` the (C, G) log of
-    |T_xF| in the model metric, relative to the start."""
+    unit frame directions (C, G, k, d) and ``lognorm(rows)`` the (len(rows), G)
+    log of |T_xF| in the model metric, relative to the start, for the paths
+    ``rows`` of the chunk (an index array; ``slice(None)`` for all of them)."""
     model = system.model
     x, dW = chunk_paths(driver, lo, hi, sched, grid)
     frames = _grid_frames(system, grid)                       # (G, k, d)
@@ -210,7 +211,8 @@ def _frame_scan(system: VectorFieldSystem, grid: Array, sched: StepSchedule,
     for s in propagate(Stepper(system, r_expl=r_expl), x, dW, sched.dt, v=U, unit=True):
         if s.k:
             L = np.where(s.alive[..., None], L + s.logw, L)
-        yield s, lambda L=L, s=s: _log_opnorm(L, s.v) + np.asarray(model.log_metric_factor(s.x)) - base
+        yield s, lambda rows, L=L, s=s: (_log_opnorm(L[rows], s.v[rows])
+                                         + np.asarray(model.log_metric_factor(s.x[rows])) - base[rows])
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +252,7 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
     def chunk(lo, hi):
         run = -np.inf
         for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi, r_expl=r_expl):
-            cur = lognorm()
+            cur = lognorm(slice(None))
             run = np.where(s.alive, np.maximum(run, cur), run)
         return {"logv": cur if terminal else run, "trunc": ~s.alive.all(axis=1)}
 
@@ -310,12 +312,13 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
         for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
             if s.k == 0:
                 continue
-            logF = lognorm()
             trig = outside_balls(s, vec_norm(s.x - c), radii).any(axis=1)   # (C, J)
             newly = trig & ~stopped
-            if s.k < sched.n_steps:                           # strict S_j < t
+            rows = np.flatnonzero(newly.any(axis=1))
+            if s.k < sched.n_steps and rows.size:             # strict S_j < t
                 with np.errstate(over="ignore"):
-                    value = np.where(newly[:, None, :], np.exp(logF)[:, :, None], value)
+                    value[rows] = np.where(newly[rows, None, :], np.exp(lognorm(rows))[:, :, None],
+                                           value[rows])
             stopped |= newly
         return {"value": value, "trunc": ~s.alive.all(axis=1)}
 
@@ -430,6 +433,8 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     (1 + r(x0))^p e^{k0 (1 + p^2) t} when a k0 is supplied."""
     radial = _radial_fn(system, curvature)
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dim,) or not np.isfinite(x0).all():
+        raise ContractError(f"x0 must be one finite point of dimension {system.dim}, got {x0.tolist()!r}")
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     ladder = _ladder(radius_ladder, "radius ladder", min_len=0)
@@ -510,7 +515,7 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
         for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
             for h_idx, step in enumerate(steps):
                 if step == s.k > 0:
-                    snaps[:, :, h_idx] = lognorm()
+                    snaps[:, :, h_idx] = lognorm(slice(None))
         return {"snaps": snaps, "trunc": ~s.alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)

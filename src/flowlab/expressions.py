@@ -12,8 +12,9 @@ is ever passed to the host language's eval.  Grammar (whitespace ignored):
     VAR     := x1 ... xd   (aliases: x, y, z for the first three components)
 
 NUMBER is a decimal literal with optional fraction and exponent.  '|expr|' is
-absolute value; nest with parentheses if needed.  Evaluation is numpy-based
-and broadcasts over batched states.
+absolute value; nest with parentheses if needed.  Each expression is compiled
+once into a closure tree of numpy ufuncs that broadcasts over batched states;
+constants stay float64 scalars.
 
 A system specification is a JSON object:
 
@@ -165,39 +166,46 @@ class _Parser:
         raise ExpressionError(f"unknown variable {name!r} for dim {self.dim}")
 
 
-def _evaluate(node, x):
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _has_var(node) -> bool:
+    return node[0] == "var" or any(_has_var(n) for n in node[1:] if isinstance(n, tuple))
+
+
+def _compile(node, broadcast: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Closure tree of numpy ufuncs for an AST node.  A constant next to a
+    variable is a float64 scalar; in a constant subtree (``broadcast``) it is
+    broadcast to the batch, as ufunc inner loops can depend on the layout
+    (``np.power`` squares a stride-0 exponent of 2 but calls pow on an array
+    of 2s, which can differ in the last bit)."""
     kind = node[0]
     if kind == "num":
-        return np.broadcast_to(np.float64(node[1]), x.shape[:-1])
+        c = np.float64(node[1])
+        if broadcast:
+            return lambda x: np.broadcast_to(c, x.shape[:-1])
+        return lambda x: c
     if kind == "var":
-        return x[..., node[1]]
+        i = node[1]
+        return lambda x: x[..., i]
+    const = not _has_var(node)
     if kind == "neg":
-        return -_evaluate(node[1], x)
+        f = _compile(node[1], const)
+        return lambda x: np.negative(f(x))
     if kind == "call":
-        return _FUNCS[node[1]](_evaluate(node[2], x))
+        fn, f = _FUNCS[node[1]], _compile(node[2], const)
+        return lambda x: fn(f(x))
     _, op, left, right = node
-    a, b = _evaluate(left, x), _evaluate(right, x)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return np.power(a, b)
-    raise ExpressionError(f"unknown operator {op!r}")
+    fn, f, g = _OPS[op], _compile(left, const), _compile(right, const)
+    return lambda x: fn(f(x), g(x))
 
 
 def compile_expression(src: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Parse src once and return a numpy-evaluating callable of the state."""
+    """Parse and compile src once; return a numpy-evaluating callable of the
+    state, one value per point."""
     node = _Parser(_tokenize(src), dim).parse()
-
-    def fn(x):
-        return _evaluate(node, np.asarray(x, dtype=float))
-
-    return fn
+    f = _compile(node, broadcast=not _has_var(node))
+    return lambda x: f(np.asarray(x, dtype=float))
 
 
 def _compile_vector(exprs: Sequence[str], dim: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,7 +5,9 @@ a trapezoidal corrector in both the noise and the drift, which targets the
 Stratonovich solution without forming second derivatives or Levy areas.  It is
 exact for additive noise with constant drift.  The derivative flow is stepped
 with the same predictor as the base point, so the pair scheme is the exact
-differential of the base scheme whenever the supplied jacobians are exact.
+differential of the base scheme whenever the supplied jacobians are exact.  A
+frame of r tangents at a point is stepped together with the point, once: only
+the jacobians see the point broadcast over the frame's columns.
 
 Common noise: all members of a batch passed to one integration call consume
 the same Brownian increments.  That is the flow coupling used everywhere in
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .geometry import EmbeddedModel, ManifoldModel, vec_norm
+from .geometry import EmbeddedModel, ManifoldModel, sum_last, vec_norm
 from .systems import VectorFieldSystem, as_stratonovich
 
 Array = np.ndarray
@@ -113,7 +115,8 @@ class Stepper:
         self.r_expl = float(r_expl)
         self.embedded = isinstance(self.model, EmbeddedModel)
 
-    def step_x(self, x: Array, dB: Array, dt: float) -> Array:
+    def _heun(self, x: Array, dB: Array, dt: float):
+        """The Euler predictor of x and the retracted Heun step."""
         s = self.system
         a0 = s.drift(x)
         b0 = s.diffusion(x, dB)
@@ -121,23 +124,30 @@ class Stepper:
         x1 = x + 0.5 * (b0 + s.diffusion(xp, dB)) + 0.5 * dt * (a0 + s.drift(xp))
         if self.embedded:
             x1 = self.model.retract(x1)
-        return x1
+        return xp, x1
+
+    def step_x(self, x: Array, dB: Array, dt: float) -> Array:
+        return self._heun(x, dB, dt)[1]
 
     def step_pair(self, x: Array, v: Array, dB: Array, dt: float):
-        """Coupled (x, v) step; the v update is the differential of the x update."""
+        """Coupled (x, v) step; the v update is the differential of the x update.
+        v is shaped like x, or a frame (..., r, d) riding its point's noise:
+        the point is stepped once, and broadcast over the r columns only for
+        the jacobians and the tangent projection."""
         s = self.system
-        a0 = s.drift(x)
-        b0 = s.diffusion(x, dB)
-        ja0 = s.drift_jacobian(x, v)
-        jb0 = s.diffusion_jacobian(x, dB, v)
-        xp = x + b0 + a0 * dt
+        xp, x1 = self._heun(x, dB, dt)
+        xs = (x, xp, x1)
+        if v.ndim > x.ndim:
+            xs = [np.broadcast_to(a[..., None, :], v.shape) for a in xs]
+            dB = dB[..., None, :]
+        x0, xp, xr = xs
+        ja0 = s.drift_jacobian(x0, v)
+        jb0 = s.diffusion_jacobian(x0, dB, v)
         vp = v + jb0 + ja0 * dt
-        x1 = x + 0.5 * (b0 + s.diffusion(xp, dB)) + 0.5 * dt * (a0 + s.drift(xp))
         v1 = v + 0.5 * (jb0 + s.diffusion_jacobian(xp, dB, vp)) \
                + 0.5 * dt * (ja0 + s.drift_jacobian(xp, vp))
         if self.embedded:
-            x1 = self.model.retract(x1)
-            v1 = self.model.tangent_project(x1, v1)
+            v1 = self.model.tangent_project(xr, v1)
         return x1, v1
 
     def classify(self, x: Array):
@@ -170,8 +180,9 @@ def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = Fa
     explosion and domain-exit policy; dW[k] broadcasts against the batch.
 
     A tangent v shaped like x is stepped with the pair scheme; a v with one
-    more axis is a frame (..., r, d) riding its point's noise, classified once
-    per point.  ``unit=True`` renormalizes v after every step and reports the
+    more axis is a frame (..., r, d) riding its point's noise, stepped with its
+    point by one :meth:`Stepper.step_pair` call and classified once per point.
+    ``unit=True`` renormalizes v after every step and reports the
     step's log|w| as ``logw`` (a zero vector stays zero, log|w| = 0).  States
     are never modified in place.
     """
@@ -187,10 +198,6 @@ def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = Fa
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if v is None:
                 x1 = stepper.step_x(x, dW[k], dt)
-            elif frame:
-                xb = np.broadcast_to(x[..., None, :], v.shape).copy()
-                x1, v1 = stepper.step_pair(xb, v, dW[k][..., None, :], dt)
-                x1 = x1[..., 0, :]
             else:
                 x1, v1 = stepper.step_pair(x, v, dW[k], dt)
             bad, out = stepper.classify(x1)
@@ -229,7 +236,8 @@ def chunk_paths(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule, x
     x = np.asarray(x, dtype=float)
     dW = np.empty((hi - lo, sched.n_steps, driver.dim))
     for k in range(lo, hi):
-        dW[k - lo] = driver.for_path(k).increments(sched)
+        driver.for_path(k).generator().standard_normal(out=dW[k - lo])
+    dW *= np.sqrt(sched.dt)
     xs = np.broadcast_to(x, (hi - lo,) + x.shape).copy()
     return xs, np.expand_dims(np.moveaxis(dW, 1, 0), tuple(range(2, x.ndim + 1)))
 
@@ -365,9 +373,9 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
             g = np.zeros((B, m))
             for i in range(m):
                 ji = sys_strat.diffusion_jacobian(s.x, np.eye(m)[i], s.v)
-                g[:, i] = np.sum(ji * s.v, axis=-1)
-            dM = np.sum(g * dW[s.k], axis=-1)
-            dQV = np.sum(g * g, axis=-1) * sched.dt
+                g[:, i] = sum_last(ji * s.v)
+            dM = sum_last(g * dW[s.k])
+            dQV = sum_last(g * g) * sched.dt
     return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode,
                                 log_norms=logs, directions=dirs, martingale=Ms,
                                 quad_variation=QVs, drift_accumulator=As)
@@ -457,11 +465,10 @@ def write_trajectory_csv(fh, result, include_v: bool = False) -> None:
         head += [f"v{i+1}" for i in range(d)]
     head.append("exploded")
     writer.writerow(head)
+    times = list(map(repr, result.times.tolist()))
+    cols = np.concatenate([result.states, result.vs], axis=-1) if include_v else result.states
     for pid in range(result.n_members):
-        for k in range(result.states.shape[0]):
-            row = [pid, k, repr(float(result.times[k]))]
-            row += [repr(float(c)) for c in result.states[k, pid]]
-            if include_v:
-                row += [repr(float(c)) for c in result.vs[k, pid]]
-            row.append(int(result.exploded[pid] and k >= result.explosion_step[pid]))
-            writer.writerow(row)
+        # the exploded flag is set from the explosion step on
+        flagged = result.explosion_step[pid] if result.exploded[pid] else len(times)
+        writer.writerows([pid, k, times[k], *map(repr, row), int(k >= flagged)]
+                         for k, row in enumerate(cols[:, pid].tolist()))

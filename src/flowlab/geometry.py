@@ -26,8 +26,23 @@ Array = np.ndarray
 TANGENCY_TOL = 1e-8
 
 
+def sum_last(p: Array) -> Array:
+    """``np.sum(p, axis=-1)`` bit for bit: on float axes shorter than 8 numpy
+    adds left to right from +0.0, done here with one ufunc call per component
+    instead of a reduction loop per row."""
+    p = np.asarray(p)
+    n = p.shape[-1]
+    if p.dtype.kind != "f" or not 0 < n < 8:
+        return np.sum(p, axis=-1)
+    acc = p[..., 0] + 0.0
+    for i in range(1, n):
+        acc += p[..., i]
+    return acc[()]
+
+
 def vec_norm(x: Array, axis: int = -1) -> Array:
-    return np.sqrt(np.sum(np.square(x), axis=axis))
+    sq = np.square(x)
+    return np.sqrt(sum_last(sq if axis == -1 else np.moveaxis(sq, axis, -1)))
 
 
 def coth(z):
@@ -217,7 +232,7 @@ class EmbeddedModel(ManifoldModel):
 
     def normal_project(self, x: Array, u: Array) -> Array:
         nu = self.normal(np.asarray(x, dtype=float))
-        return nu * np.sum(nu * np.asarray(u, dtype=float), axis=-1)[..., None]
+        return nu * sum_last(nu * np.asarray(u, dtype=float))[..., None]
 
     def tangent_project(self, x: Array, u: Array) -> Array:
         return np.asarray(u, dtype=float) - self.normal_project(x, u)
@@ -231,7 +246,7 @@ class EmbeddedModel(ManifoldModel):
         """alpha(v, w) = -<D_v nu, w> nu for tangent v, w."""
         x = np.asarray(x, dtype=float)
         dn = self.dnormal(x, np.asarray(v, dtype=float))
-        return -np.sum(dn * np.asarray(w, dtype=float), axis=-1)[..., None] * self.normal(x)
+        return -sum_last(dn * np.asarray(w, dtype=float))[..., None] * self.normal(x)
 
     def mean_curvature(self, x: Array) -> Array:
         """trace alpha = -tr(P D nu P) nu, the trace taken over the projected
@@ -242,7 +257,7 @@ class EmbeddedModel(ManifoldModel):
         for i in range(self.ambient_dim):
             pe = -nu[..., i, None] * nu
             pe[..., i] += 1.0
-            tr = tr + np.sum(self.dnormal(x, pe) * pe, axis=-1)
+            tr = tr + sum_last(self.dnormal(x, pe) * pe)
         return -tr[..., None] * nu
 
     def retract(self, x: Array) -> Array:
@@ -349,11 +364,11 @@ def sphere_model(n: int) -> EmbeddedModel:
         x = np.asarray(x, dtype=float)
         r = vec_norm(x)[..., None]
         nu = x / r
-        return (v - nu * np.sum(nu * v, axis=-1)[..., None]) / r
+        return (v - nu * sum_last(nu * v)[..., None]) / r
 
     def ricci(x, v):
         v = np.asarray(v, dtype=float)
-        return (n - 2) * np.sum(v * v, axis=-1)
+        return (n - 2) * sum_last(v * v)
 
     def sampler(rng, k):
         pts = rng.standard_normal((k, n))
@@ -372,9 +387,9 @@ def paraboloid_model() -> EmbeddedModel:
 
     def ricci(x, v):
         x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x[..., :2] ** 2, axis=-1)
+        rho2 = sum_last(x[..., :2] ** 2)
         v = np.asarray(v, dtype=float)
-        return np.sum(v * v, axis=-1) / (1.0 + rho2) ** 2
+        return sum_last(v * v) / (1.0 + rho2) ** 2
 
     def pole_dist(x):
         x = np.asarray(x, dtype=float)
@@ -390,10 +405,10 @@ def paraboloid_model() -> EmbeddedModel:
 
     def sampler(rng, k):
         u = rng.standard_normal((k, 2)) * 1.5
-        z = 0.5 * np.sum(u * u, axis=-1)
+        z = 0.5 * sum_last(u * u)
         return np.concatenate([u, z[:, None]], axis=1)
 
-    return graph_model(2, lambda u: 0.5 * np.sum(u ** 2, axis=-1), lambda u: u,
+    return graph_model(2, lambda u: 0.5 * sum_last(u ** 2), lambda u: u,
                        lambda u, w: w, name="paraboloid", ricci=ricci, pole=np.zeros(3),
                        pole_distance=pole_dist, sampler=sampler)
 
@@ -419,11 +434,11 @@ def graph_model(dim: int, height: Callable[[Array], Array],
         x = np.asarray(x, dtype=float)
         u = x[..., :dim]
         g = np.asarray(grad_height(u), dtype=float)
-        s = np.sqrt(1.0 + np.sum(g * g, axis=-1))[..., None]
+        s = np.sqrt(1.0 + sum_last(g * g))[..., None]
         hv = np.asarray(hess_height(u, np.asarray(v, dtype=float)[..., :dim]), dtype=float)
         nu = np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1) / s
         dn = np.concatenate([-hv, np.zeros(hv.shape[:-1] + (1,))], axis=-1)
-        return (dn - nu * np.sum(nu * dn, axis=-1)[..., None]) / s
+        return (dn - nu * sum_last(nu * dn)[..., None]) / s
 
     def retraction(x):
         x = np.asarray(x, dtype=float).copy()

@@ -379,8 +379,9 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
-    if n_paths < 1:
-        raise ContractError("the convergence study needs n_paths >= 1")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ContractError(f"the convergence study needs a whole number of paths >= 1, "
+                            f"got n_paths={n_paths!r}")
     dts = sorted(float(d) for d in dts)
     n_fine = int(round(t / dts[0]))
     factors = []

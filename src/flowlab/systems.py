@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapabilityError, ContractError
-from .geometry import TANGENCY_TOL, EmbeddedModel, ManifoldModel, vec_norm
+from .geometry import TANGENCY_TOL, EmbeddedModel, ManifoldModel, sum_last, vec_norm
 
 Array = np.ndarray
 
@@ -198,7 +198,7 @@ def apply_generator(system: VectorFieldSystem, grad: Callable[[Array], Array],
     """
     dec = effective_drift(system)
     x = np.asarray(x, dtype=float)
-    acc = np.sum(np.asarray(grad(x)) * dec.a_x(x), axis=-1)
+    acc = sum_last(np.asarray(grad(x)) * dec.a_x(x))
     for i in range(system.noise_dim):
         xi = system.diffusion(x, _basis(system.noise_dim, i))
         acc = acc + 0.5 * np.asarray(hess_quad(x, xi))
@@ -242,7 +242,7 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
         e = np.asarray(e, dtype=float)
         nu = model.normal(x)
         dn = model.dnormal(x, np.asarray(v, dtype=float))
-        return -(dn * np.sum(nu * e, axis=-1)[..., None] + nu * np.sum(dn * e, axis=-1)[..., None])
+        return -(dn * sum_last(nu * e)[..., None] + nu * sum_last(dn * e)[..., None])
 
     if drift_z is None:
         drift = zero_field

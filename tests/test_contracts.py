@@ -22,6 +22,7 @@ from flowlab import (
     gradient_consistency_check,
     integrate_flow,
     observable,
+    oracle_convergence_study,
     schedule_for,
 )
 from flowlab.estimators import _estimate_from_exponents
@@ -43,6 +44,16 @@ def test_run_chunks_needs_a_whole_number_of_paths(n_paths):
     # 2.5 used to raise a raw TypeError from range(); a path count is an int
     with pytest.raises(ContractError):
         run_chunks(n_paths, lambda lo, hi: {"k": np.arange(lo, hi)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(allow_nan=False).filter(lambda n: n != int(n) if math.isfinite(n) else True)
+       | st.integers(1, 5).map(float) | st.just("3") | st.integers(max_value=0))
+def test_oracle_study_needs_a_whole_number_of_paths(n_paths):
+    # 2.5 used to raise a raw TypeError from slicing the surviving paths
+    tr = builtin("translation(2)")
+    with pytest.raises(ContractError):
+        oracle_convergence_study(tr, [0.0, 0.0], 0.02, [4e-3, 1e-3], n_paths, seed=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -257,3 +268,14 @@ def test_stopped_moment_centre_is_one_finite_point(n, bad_value):
     center = [5.0] * n if not bad_value else [1.0, math.nan]
     with pytest.raises(ContractError):
         _stopped([1.0, 2.0], grid=(1.0, 0.0), center=center)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 4).filter(lambda n: n != 2).map(lambda n: [0.5] * n)
+       | NON_FINITE.flatmap(lambda c: st.sampled_from([[c, 0.0], [0.0, c]])))
+def test_radial_start_is_one_finite_point(x0):
+    # [nan, 0] used to run and report an invalid nan moment with every path
+    # truncated; a wrong-length start is no point of the system
+    tr = builtin("translation(2)")
+    with pytest.raises(ContractError):
+        estimate_radial_moment(tr.system, tr.curvature, x0, 1.0, 0.02, 3, seed=0, dt=0.01)

@@ -2,8 +2,10 @@
 
 ``data/flow_reference.json`` holds every number that ``cli.run(..., fmt="both")``
 writes for ``simulate``, ``derivative-moments`` and ``radial`` on sphere(3) and
-the paraboloid, for ``semigroup-check`` on sphere(3), and for the exit ladders
-of ``stopped-moments`` and ``radial`` on kunita, where paths explode: the JSON
+the paraboloid, for ``semigroup-check`` on sphere(3), for the exit ladders
+of ``stopped-moments`` and ``radial`` on kunita, where paths explode, for a
+flat frame on a two-point kunita grid, and for ``simulate`` and
+``semigroup-check`` on an inline spec-file system: the JSON
 report and, for ``simulate`` and ``stopped-moments``, every cell of the CSV.  A request that raises a
 ``FlowlabError`` is recorded by the error's class name.  Every number must
 agree with the reference to 1e-12 * max(1, |ref|); strings must be equal.  To
@@ -27,6 +29,14 @@ TOL = 1e-12
 
 SEED = 3
 
+#: the spec-file system of the flow-mix benchmark workload, passed inline
+SPEC_SYSTEM = {
+    "name": "spec_pendulum", "dim": 2, "noise_dim": 1,
+    "diffusion": [["sin(y)"], ["cos(x)"]],
+    "drift": ["-x + y/2", "-y - x^3/10"],
+    "calculus": "stratonovich",
+}
+
 CASES = {
     "simulate sphere(3)": ("simulate", {"scenario": "sphere(3)", "paths": 3, "t": 0.2}),
     "simulate paraboloid": ("simulate", {"scenario": "paraboloid", "paths": 3, "t": 0.2}),
@@ -43,6 +53,12 @@ CASES = {
                                 "grid": [[12.0, 12.0]], "radii": [16.0, 32.0, 64.0, 128.0]}),
     "radial kunita": ("radial", {"scenario": "kunita", "paths": 256, "t": 0.5,
                                  "x0": [8.0, 8.0], "radii": [8.0, 16.0, 1e5]}),
+    "semigroup-check spec": ("semigroup-check",
+                             {"system_spec": SPEC_SYSTEM, "paths": 256, "t": 0.25}),
+    "derivative-moments kunita": ("derivative-moments",
+                                  {"scenario": "kunita", "paths": 256, "t": 0.125,
+                                   "grid": [[0.5, 0.5], [1.0, -1.0]]}),
+    "simulate spec": ("simulate", {"system_spec": SPEC_SYSTEM, "paths": 3, "t": 0.2}),
 }
 
 
