@@ -32,7 +32,7 @@ import numpy as np
 from .criteria import _directions_at, eval_Hp
 from .errors import CapabilityError, ContractError
 from .flow import (BrownianDriver, StepSchedule, Stepper, chunk_paths, outside_balls, propagate,
-                   schedule_for)
+                   schedule_for, start_points)
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
 from .parallel import run_chunks
 from .systems import VectorFieldSystem
@@ -145,6 +145,13 @@ def _observed(values, x: Array) -> Array:
         raise ContractError(f"observable gave shape {values.shape} at points of shape {x.shape}; "
                             f"expected one value per point, {x.shape[:-1]}")
     return values
+
+
+def _one_vector(a, dim: int, what: str) -> Array:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (dim,) or not np.isfinite(a).all():
+        raise ContractError(f"{what} must be one finite vector of dimension {dim}, got {a.tolist()!r}")
+    return a
 
 
 def _grid_array(grid) -> Array:
@@ -301,9 +308,7 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
-    c = np.zeros(grid.shape[1]) if center is None else np.asarray(center, dtype=float)
-    if c.shape != grid.shape[1:] or not np.isfinite(c).all():
-        raise ContractError(f"center must be one finite point of dimension {grid.shape[1]}")
+    c = np.zeros(grid.shape[1]) if center is None else _one_vector(center, grid.shape[1], "center")
     J = len(radii)
 
     def chunk(lo, hi):
@@ -357,6 +362,7 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
     """
     if theta < 0:
         raise ContractError("theta must be nonnegative")
+    x0 = start_points(system, x0)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     horizon = sched.horizon
@@ -432,9 +438,7 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     start outside the ball.  The moment is compared against the envelope
     (1 + r(x0))^p e^{k0 (1 + p^2) t} when a k0 is supplied."""
     radial = _radial_fn(system, curvature)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,) or not np.isfinite(x0).all():
-        raise ContractError(f"x0 must be one finite point of dimension {system.dim}, got {x0.tolist()!r}")
+    x0 = _one_vector(x0, system.dim, "x0")
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     ladder = _ladder(radius_ladder, "radius ladder", min_len=0)

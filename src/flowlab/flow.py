@@ -6,8 +6,9 @@ Stratonovich solution without forming second derivatives or Levy areas.  It is
 exact for additive noise with constant drift.  The derivative flow is stepped
 with the same predictor as the base point, so the pair scheme is the exact
 differential of the base scheme whenever the supplied jacobians are exact.  A
-frame of r tangents at a point is stepped together with the point, once: only
-the jacobians see the point broadcast over the frame's columns.
+frame of r tangents at a point is stepped with the point, once: the jacobians
+see the point with a size-1 column axis, so a term of the point alone (a
+normal field) is evaluated once per point, not once per column.
 
 Common noise: all members of a batch passed to one integration call consume
 the same Brownian increments.  That is the flow coupling used everywhere in
@@ -116,12 +117,14 @@ class Stepper:
         self.embedded = isinstance(self.model, EmbeddedModel)
 
     def _heun(self, x: Array, dB: Array, dt: float):
-        """The Euler predictor of x and the retracted Heun step."""
+        """The Euler predictor of x and the retracted Heun step; a constant
+        diffusion is evaluated once, as 0.5 * (b0 + b0) is b0 bit for bit."""
         s = self.system
         a0 = s.drift(x)
         b0 = s.diffusion(x, dB)
         xp = x + b0 + a0 * dt
-        x1 = x + 0.5 * (b0 + s.diffusion(xp, dB)) + 0.5 * dt * (a0 + s.drift(xp))
+        b = b0 if s.constant_diffusion else 0.5 * (b0 + s.diffusion(xp, dB))
+        x1 = x + b + 0.5 * dt * (a0 + s.drift(xp))
         if self.embedded:
             x1 = self.model.retract(x1)
         return xp, x1
@@ -132,33 +135,36 @@ class Stepper:
     def step_pair(self, x: Array, v: Array, dB: Array, dt: float):
         """Coupled (x, v) step; the v update is the differential of the x update.
         v is shaped like x, or a frame (..., r, d) riding its point's noise:
-        the point is stepped once, and broadcast over the r columns only for
-        the jacobians and the tangent projection."""
+        the point is stepped once, and seen by the jacobians and the tangent
+        projection with a size-1 column axis; a constant diffusion's (zero)
+        jacobian is evaluated once."""
         s = self.system
         xp, x1 = self._heun(x, dB, dt)
-        xs = (x, xp, x1)
+        x0, xr = x, x1
         if v.ndim > x.ndim:
-            xs = [np.broadcast_to(a[..., None, :], v.shape) for a in xs]
-            dB = dB[..., None, :]
-        x0, xp, xr = xs
+            x0, xp, xr, dB = (a[..., None, :] for a in (x, xp, x1, dB))
         ja0 = s.drift_jacobian(x0, v)
         jb0 = s.diffusion_jacobian(x0, dB, v)
         vp = v + jb0 + ja0 * dt
-        v1 = v + 0.5 * (jb0 + s.diffusion_jacobian(xp, dB, vp)) \
-               + 0.5 * dt * (ja0 + s.drift_jacobian(xp, vp))
+        jb = jb0 if s.constant_diffusion else 0.5 * (jb0 + s.diffusion_jacobian(xp, dB, vp))
+        v1 = v + jb + 0.5 * dt * (ja0 + s.drift_jacobian(xp, vp))
         if self.embedded:
             v1 = self.model.tangent_project(xr, v1)
         return x1, v1
 
     def classify(self, x: Array):
-        """(exploded, domain_exit) masks for candidate states."""
+        """(exploded, domain_exit) masks for candidate states; a batch whose
+        row sums are all finite is finite, and needs no zero-filling."""
         x = np.asarray(x, dtype=float)
-        finite = np.isfinite(x).all(axis=-1)
+        model = self.model
         with np.errstate(over="ignore", invalid="ignore"):
-            esc = np.where(finite, self.model.escape_coordinate(np.where(finite[..., None], x, 0.0)), np.inf)
-        exploded = ~finite | (esc > self.r_expl)
-        domain_exit = finite & ~self.model.admissible(np.where(finite[..., None], x, 0.0)) & ~exploded
-        return exploded, domain_exit
+            if np.isfinite(sum_last(x)).all():
+                exploded = model.escape_coordinate(x) > self.r_expl
+                return exploded, ~model.in_domain(x) & ~exploded
+            finite = np.isfinite(x).all(axis=-1)
+            x = np.where(finite[..., None], x, 0.0)
+            exploded = ~finite | (np.where(finite, model.escape_coordinate(x), np.inf) > self.r_expl)
+            return exploded, finite & ~model.admissible(x) & ~exploded
 
 
 @dataclass
@@ -206,18 +212,30 @@ def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = Fa
             if out.any():    # exit_step > k: no exit recorded yet, so the first one is kept
                 exit_step = np.where(alive & out & (exit_step > k), k + 1, exit_step)
             keep = alive & ~bad
-            x = np.where(keep[..., None], x1, x)
+            every = keep.all()       # nothing to freeze: take the step as it is
+            x = x1 if every else np.where(keep[..., None], x1, x)
             if v is not None:
                 keep_v = keep[..., None, None] if frame else keep[..., None]
                 if unit:
                     nw = vec_norm(v1)
                     logw = np.where(nw > 0, np.log(np.maximum(nw, UNDERFLOW_FLOOR)), 0.0)
-                    v = np.where(keep_v & (nw > 0)[..., None],
-                                 v1 / np.where(nw == 0.0, 1.0, nw)[..., None], v)
+                    grow = keep_v & (nw > 0)[..., None]
+                    v = v1 / nw[..., None] if grow.all() else \
+                        np.where(grow, v1 / np.where(nw == 0.0, 1.0, nw)[..., None], v)
                 else:
-                    v = np.where(keep_v, v1, v)
+                    v = v1 if every else np.where(keep_v, v1, v)
             alive = keep
         yield PathState(k + 1, x, v, alive, expl_step, exit_step, logw)
+
+
+def start_points(system: VectorFieldSystem, x) -> Array:
+    """x as float points of the system's dimension, each finite and admissible
+    (``ContractError``, ``DomainError`` otherwise), checked before any step."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != system.dim:
+        raise ContractError(f"start points of shape {x.shape}, system of dimension {system.dim}")
+    system.model.check_admissible(x)
+    return x
 
 
 def outside_balls(state: PathState, dist: Array, radii) -> Array:
@@ -297,7 +315,7 @@ def record_trajectory(system: VectorFieldSystem, x: Array, dW: Array, sched: Ste
     """Step a batch x (B, d), and its tangents v (B, d) when given, through the
     increments dW (n_steps, [B,] m) and record the trajectory: a FlowResult,
     or a direct-mode DerivativeFlowResult when v is given."""
-    system.model.check_admissible(x)
+    x = start_points(system, x)
     states = np.empty((sched.n_steps + 1,) + x.shape)
     vs = None if v is None else np.empty(states.shape)
     for s in propagate(Stepper(system, r_expl=r_expl), x, dW, sched.dt, v=v):
@@ -343,7 +361,7 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     dW = driver.increments(sched)
     if mode == "direct":
         return record_trajectory(system, members, dW, sched, v=vs0, r_expl=r_expl)
-    system.model.check_admissible(members)
+    start_points(system, members)
     stepper = Stepper(system, r_expl=r_expl)
     B, d = members.shape
     n = sched.n_steps

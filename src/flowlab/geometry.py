@@ -82,9 +82,15 @@ class ManifoldModel:
 
     # -- admissibility ------------------------------------------------
     def admissible(self, x: Array) -> Array:
-        """Boolean mask of states inside the model's domain."""
+        """Boolean mask of states inside the model's domain: finite, and
+        inside the model's own exclusions (:meth:`in_domain`)."""
         x = np.asarray(x, dtype=float)
-        return np.isfinite(x).all(axis=-1)
+        return np.isfinite(x).all(axis=-1) & self.in_domain(x)
+
+    def in_domain(self, x: Array) -> Array:
+        """Mask of finite states kept by the model's exclusions (puncture
+        balls, charts), broadcasting against x's batch shape."""
+        return np.True_
 
     def check_admissible(self, x: Array) -> None:
         ok = self.admissible(x)
@@ -135,10 +141,8 @@ class PuncturedFlatModel(FlatModel):
         self.puncture = np.asarray(puncture, dtype=float).reshape(dim)
         self.exclusion_radius = float(exclusion_radius)
 
-    def admissible(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        ok = np.isfinite(x).all(axis=-1)
-        return ok & (vec_norm(x - self.puncture) > self.exclusion_radius)
+    def in_domain(self, x: Array) -> Array:
+        return vec_norm(x - self.puncture) > self.exclusion_radius
 
     def puncture_distance(self, x: Array) -> Array:
         return vec_norm(np.asarray(x, dtype=float) - self.puncture)
@@ -163,12 +167,10 @@ class RescaledFlatModel(ManifoldModel):
         self.excluded = None if excluded is None else np.asarray(excluded, dtype=float).reshape(dim)
         self.exclusion_radius = float(exclusion_radius)
 
-    def admissible(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        ok = np.isfinite(x).all(axis=-1)
-        if self.excluded is not None:
-            ok = ok & (vec_norm(x - self.excluded) > self.exclusion_radius)
-        return ok
+    def in_domain(self, x: Array) -> Array:
+        if self.excluded is None:
+            return np.True_
+        return vec_norm(x - self.excluded) > self.exclusion_radius
 
     def metric_norm(self, x: Array, v: Array) -> Array:
         self.check_admissible(x)
@@ -223,12 +225,8 @@ class EmbeddedModel(ManifoldModel):
         self.sampler = sampler
         self._admissible = admissible
 
-    def admissible(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        ok = np.isfinite(x).all(axis=-1)
-        if self._admissible is not None:
-            ok = ok & np.asarray(self._admissible(x))
-        return ok
+    def in_domain(self, x: Array) -> Array:
+        return np.True_ if self._admissible is None else np.asarray(self._admissible(x))
 
     def normal_project(self, x: Array, u: Array) -> Array:
         nu = self.normal(np.asarray(x, dtype=float))

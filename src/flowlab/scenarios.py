@@ -101,10 +101,11 @@ def _inversion_oracle(x0: Array, dW: Array, dt: float) -> OracleResult:
 # ----------------------------------------------------------------------
 
 def _additive_system(name: str, dim: int, drift, drift_jacobian, model=None) -> VectorFieldSystem:
-    """dx = drift(x) dt + dB with unit additive noise, B of dimension dim."""
+    """dx = drift(x) dt + dB with unit additive noise, B of dimension dim.
+    X(x)e = e does not depend on x, so it is returned as e and broadcasts
+    against x in the caller's arithmetic."""
     def diffusion(x, e):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(e, dtype=float), x.shape).astype(float)
+        return np.asarray(e, dtype=float)
 
     return VectorFieldSystem(
         name=name, dim=dim, noise_dim=dim,
@@ -169,7 +170,7 @@ def _scn_rescaled_punctured_plane() -> Scenario:
 def _scn_inversion_plane() -> Scenario:
     def diffusion(x, e):
         x = np.asarray(x, dtype=float)
-        e = np.broadcast_to(np.asarray(e, dtype=float), x.shape)
+        e = np.asarray(e, dtype=float)
         z = x[..., 0] + 1j * x[..., 1]
         ec = e[..., 0] + 1j * e[..., 1]
         out = -(z * z) * ec
@@ -178,7 +179,7 @@ def _scn_inversion_plane() -> Scenario:
     def diffusion_jacobian(x, e, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        e = np.broadcast_to(np.asarray(e, dtype=float), x.shape)
+        e = np.asarray(e, dtype=float)
         z = x[..., 0] + 1j * x[..., 1]
         vc = v[..., 0] + 1j * v[..., 1]
         ec = e[..., 0] + 1j * e[..., 1]
@@ -244,7 +245,7 @@ def ou_exact_states(x0, dW: Array, dt: float) -> OracleResult:
 def _scn_kunita() -> Scenario:
     def diffusion(x, e):
         x = np.asarray(x, dtype=float)
-        e = np.broadcast_to(np.asarray(e, dtype=float), x.shape)
+        e = np.asarray(e, dtype=float)
         out = np.empty_like(x)
         out[..., 0] = x[..., 1] * e[..., 0]
         out[..., 1] = 0.5 * x[..., 0] ** 2 * e[..., 1]
@@ -253,7 +254,7 @@ def _scn_kunita() -> Scenario:
     def diffusion_jacobian(x, e, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        e = np.broadcast_to(np.asarray(e, dtype=float), x.shape)
+        e = np.asarray(e, dtype=float)
         out = np.empty_like(v)
         out[..., 0] = v[..., 1] * e[..., 0]
         out[..., 1] = x[..., 0] * v[..., 0] * e[..., 1]

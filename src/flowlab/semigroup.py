@@ -14,8 +14,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .estimators import MomentEstimate, _mean_estimate, _observed
-from .flow import BrownianDriver, Stepper, chunk_paths, propagate, schedule_for
+from .errors import ContractError
+from .estimators import MomentEstimate, _mean_estimate, _observed, _one_vector
+from .flow import BrownianDriver, Stepper, chunk_paths, propagate, schedule_for, start_points
 from .geometry import vec_norm
 from .parallel import run_chunks
 from .systems import VectorFieldSystem
@@ -55,6 +56,7 @@ def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
                  n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                  workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of f(F_t(x)) 1{t < explosion}."""
+    x = start_points(system, x)
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
@@ -73,7 +75,8 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of df(F_t(x), T_xF_t(v)) 1{t < explosion} using the
     coupled derivative flow; exactly linear in v under a shared seed."""
-    v = np.asarray(v, dtype=float)
+    x = start_points(system, x)
+    v = _one_vector(v, system.dim, "v")
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
@@ -131,15 +134,18 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
     """Compare (P_t f(x + eps v) - P_t f(x)) / eps with delta P_t(df)(v).
 
     All ensembles (base, shifted, derivative) consume the same increments per
-    path, drawn once per chunk.  The report carries per-epsilon finite
-    differences, the Richardson trend of the discrepancy (slope of
-    log |FD(eps) - rhs| vs log eps, omitted when the discrepancy is at
-    floating-point level), and the pass/fail of the 3-sigma consistency test
-    at the smallest epsilon.
+    path, drawn once per chunk; the base point is stepped once, as the pair
+    run, whose x path is the base flow bit for bit.  The report carries
+    per-epsilon finite differences, the Richardson trend of the discrepancy
+    (slope of log |FD(eps) - rhs| vs log eps, omitted when the discrepancy is
+    at floating-point level), and the pass/fail of the 3-sigma consistency
+    test at the smallest epsilon.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x = start_points(system, _one_vector(x, system.dim, "x"))
+    v = _one_vector(v, system.dim, "v")
     eps_ladder = [float(e) for e in eps_ladder]
+    if not eps_ladder or not all(np.isfinite(e) and e > 0 for e in eps_ladder):
+        raise ContractError(f"eps_ladder must hold at least one finite step > 0, got {eps_ladder!r}")
     sched = schedule_for(t, dt)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     starts = np.stack([x] + [x + e * v for e in eps_ladder])   # (1+E, d)
@@ -147,15 +153,16 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
     def chunk(lo, hi):
         xs, dW = chunk_paths(driver, lo, hi, sched, starts)   # (C, 1+E, d), (n, C, 1, m)
         stepper = Stepper(system)
-        for s in propagate(stepper, xs, dW, sched.dt):
+        for s in propagate(stepper, xs[:, 1:], dW, sched.dt):   # the shifted starts
             pass
         xb = xs[:, 0, :]
         for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
             pass
-        f_vals = np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0)  # (C, 1+E)
+        ends = np.concatenate([p.x[:, None], s.x], axis=1)     # (C, 1+E, d)
+        alive = np.concatenate([p.alive[:, None], s.alive], axis=1)
+        f_vals = np.where(alive, _observed(obs.f(ends), ends), 0.0)
         delta = np.where(p.alive, _observed(obs.df(p.x, p.v), p.x), 0.0)
-        return {"f_vals": f_vals, "delta": delta,
-                "trunc": ~(s.alive.all(axis=1) & p.alive)}
+        return {"f_vals": f_vals, "delta": delta, "trunc": ~alive.all(axis=1)}
 
     out = run_chunks(n_paths, chunk, workers=workers)
     trunc = int(out["trunc"].sum())

@@ -10,7 +10,10 @@ forms), never inside the integrator.
 
 Callable convention: state arrays broadcast over leading axes with the last
 axis as the coordinate axis; noise arguments e broadcast the same way against
-the noise dimension.
+the noise dimension, and a field's value broadcasts against x (a diffusion
+that does not depend on x may return e itself).  Jacobian callables may get
+the point with a size-1 frame axis, x (..., 1, d) against v (..., r, d), and
+must let it broadcast: the integrator steps a frame of r tangents that way.
 """
 
 from __future__ import annotations
@@ -87,20 +90,13 @@ class VectorFieldSystem:
 
     def diffusion_columns(self, x: Array) -> Array:
         """Matrix of columns X^i(x), shape (..., dim, noise_dim)."""
-        cols = [self.diffusion(x, _basis(self.noise_dim, i)) for i in range(self.noise_dim)]
-        return np.stack(cols, axis=-1)
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.broadcast_to(self.diffusion(x, e), x.shape)
+                         for e in np.eye(self.noise_dim)], axis=-1)
 
     def column_jacobians(self, x: Array, v: Array) -> Array:
         """Stack of directional derivatives D_v X^i(x), shape (..., dim, noise_dim)."""
-        cols = [self.diffusion_jacobian(x, _basis(self.noise_dim, i), v)
-                for i in range(self.noise_dim)]
-        return np.stack(cols, axis=-1)
-
-
-def _basis(m: int, i: int) -> Array:
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
+        return np.stack([self.diffusion_jacobian(x, e, v) for e in np.eye(self.noise_dim)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -118,8 +114,7 @@ def stratonovich_correction(system: VectorFieldSystem) -> Callable[[Array], Arra
 
     def corr(x):
         acc = None
-        for i in range(system.noise_dim):
-            e = _basis(system.noise_dim, i)
+        for e in np.eye(system.noise_dim):
             xi = system.diffusion(x, e)
             term = system.diffusion_jacobian(x, e, xi)
             acc = term if acc is None else acc + term
@@ -199,8 +194,8 @@ def apply_generator(system: VectorFieldSystem, grad: Callable[[Array], Array],
     dec = effective_drift(system)
     x = np.asarray(x, dtype=float)
     acc = sum_last(np.asarray(grad(x)) * dec.a_x(x))
-    for i in range(system.noise_dim):
-        xi = system.diffusion(x, _basis(system.noise_dim, i))
+    for e in np.eye(system.noise_dim):
+        xi = system.diffusion(x, e)
         acc = acc + 0.5 * np.asarray(hess_quad(x, xi))
     return acc
 

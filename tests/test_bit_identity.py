@@ -1,14 +1,21 @@
 """The fast paths of the flow layer give the bits of the straightforward code
 they stand in for: short-axis sums, compiled spec expressions, chunked noise,
-frame stepping and row-subset frame norms.  Every comparison is bitwise."""
+frame stepping, row-subset frame norms, the finite-batch classification, the
+unmerged all-alive step, the single constant-diffusion evaluation, the
+built-in fields' noise broadcasting and the single base-point run of the
+semigroup check.  Every comparison is bitwise."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowlab import BrownianDriver, builtin, load_system
+from flowlab import BrownianDriver, builtin, load_system, semigroup
 from flowlab.estimators import _log_opnorm
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
-from flowlab.flow import StepSchedule, Stepper, chunk_paths
+from flowlab.flow import StepSchedule, Stepper, chunk_paths, propagate, schedule_for
+from flowlab.semigroup import observable
 from flowlab.geometry import sum_last, vec_norm
 from test_flow_regression import SPEC_SYSTEM
 
@@ -186,3 +193,202 @@ def test_log_opnorm_of_a_row_subset_is_the_subset_of_the_stack(kd, seed, C, G):
     assume(rows.size < C)
     assert same_bits(_log_opnorm(L[rows], U[rows]), _log_opnorm(L, U)[rows])
     assert same_bits(_log_opnorm(L[slice(None)], U[slice(None)]), _log_opnorm(L, U))
+
+
+# ----------------------------------------------------------------------
+# the lean Heun step: classification, merging, constant diffusion, the
+# built-in coefficient fields and the semigroup chunk
+# ----------------------------------------------------------------------
+
+def sanitising_classify(stepper, x):
+    """Classification with every row zero-filled where it is not finite."""
+    finite = np.isfinite(x).all(axis=-1)
+    xz = np.where(finite[..., None], x, 0.0)
+    with np.errstate(all="ignore"):
+        esc = np.where(finite, stepper.model.escape_coordinate(xz), np.inf)
+        exploded = ~finite | (esc > stepper.r_expl)
+        return exploded, finite & ~stepper.model.admissible(xz) & ~exploded
+
+
+# NaN, infinities, a pair whose sum overflows, points past the explosion
+# radius and points inside the punctured models' exclusion balls
+STATE_COMPONENTS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 2e6, 0.0, -0.0,
+                                    1e-13, 5e-9]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["translation(2)", "punctured_translation(2)", "rescaled_punctured_plane",
+                        "kunita", "sphere(3)", "paraboloid"]),
+       st.integers(1, 5), st.data())
+def test_classify_gives_the_sanitising_masks(name, n, data):
+    stepper = Stepper(builtin(name).system)
+    d = stepper.system.dim
+    x = np.array(data.draw(st.lists(STATE_COMPONENTS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    want = sanitising_classify(stepper, x)
+    with np.errstate(all="ignore"):
+        got = stepper.classify(x)
+        rows = [stepper.classify(x[i:i + 1]) for i in range(n)]
+    for g, w in zip(got, want):
+        assert g.dtype == bool and np.array_equal(g, w)
+    for i, (e, o) in enumerate(rows):
+        assert np.array_equal(e, want[0][i:i + 1]) and np.array_equal(o, want[1][i:i + 1])
+
+
+def merging_propagate(stepper, x, dW, dt, v=None, unit=False):
+    """propagate with every step merged through np.where, frozen or not."""
+    frame = v is not None and v.ndim == x.ndim + 1
+    alive = np.ones(x.shape[:-1], dtype=bool)
+    expl_step = exit_step = np.full(alive.shape, len(dW) + 1, dtype=int)
+    yield x, v, alive, expl_step, exit_step, None
+    logw = None
+    for k in range(len(dW)):
+        with np.errstate(all="ignore"):
+            if v is None:
+                x1 = stepper.step_x(x, dW[k], dt)
+            else:
+                x1, v1 = stepper.step_pair(x, v, dW[k], dt)
+            bad, out = sanitising_classify(stepper, x1)
+            expl_step = np.where(alive & bad, k + 1, expl_step)
+            exit_step = np.where(alive & out & (exit_step > k), k + 1, exit_step)
+            keep = alive & ~bad
+            x = np.where(keep[..., None], x1, x)
+            if v is not None:
+                keep_v = keep[..., None, None] if frame else keep[..., None]
+                if unit:
+                    nw = vec_norm(v1)
+                    logw = np.where(nw > 0, np.log(np.maximum(nw, 1e-300)), 0.0)
+                    v = np.where(keep_v & (nw > 0)[..., None],
+                                 v1 / np.where(nw == 0.0, 1.0, nw)[..., None], v)
+                else:
+                    v = np.where(keep_v, v1, v)
+            alive = keep
+        yield x, v, alive, expl_step, exit_step, logw
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ou(2)", "sphere(3)", "kunita", "spec", "punctured_translation(2)"]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["x", "pair", "frame", "unit"]),
+       st.sampled_from([0.3, 3.0, 12.0]))
+def test_propagate_takes_the_step_when_nothing_is_frozen(name, seed, mode, scale):
+    # scale 12 sends kunita members past the explosion radius, so both the
+    # all-alive shortcut and the merge run inside one batch
+    system = _system(name)
+    stepper = Stepper(system)
+    d, m = system.dim, system.noise_dim
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, d)) * scale
+    if name == "sphere(3)":
+        x /= vec_norm(x)[..., None]
+    v = None
+    if mode != "x":
+        v = rng.standard_normal((6, 2, d) if mode == "frame" else (6, d))
+        v[0] = 0.0                       # a zero tangent stays zero in unit mode
+        if stepper.embedded:
+            xb = x[:, None, :] if mode == "frame" else x
+            v = system.model.tangent_project(xb, v)
+    dW = rng.standard_normal((60, 6, m)) * 0.1
+    with np.errstate(all="ignore"):
+        got = list(propagate(stepper, x, dW, 0.01, v=v, unit=mode == "unit"))
+        want = list(merging_propagate(stepper, x, dW, 0.01, v=v, unit=mode == "unit"))
+    for s, (wx, wv, walive, wexpl, wexit, wlogw) in zip(got, want):
+        assert same_bits(s.x, wx)
+        assert np.array_equal(s.alive, walive)
+        assert np.array_equal(s.explosion_step, wexpl) and np.array_equal(s.exit_step, wexit)
+        if v is not None:
+            assert same_bits(s.v, wv)
+        if wlogw is not None:
+            assert same_bits(s.logw, wlogw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ou(1)", "ou(2)", "translation(2)", "linear", "punctured_translation(2)"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([1e-3, 0.1, 10.0]))
+def test_a_constant_diffusion_is_evaluated_once(name, seed, r, scale):
+    # 0.5 * (b + b) is b for every b below half the largest float; increments
+    # that large never come out of a Gaussian driver
+    system = builtin(name).system
+    assert system.constant_diffusion
+    lean, twice = Stepper(system), Stepper(replace(system, constant_diffusion=False))
+    d = system.dim
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((5, 2, d)) * scale
+    x.reshape(-1, d)[0] = [-0.0] * d
+    dB = rng.standard_normal((5, 1, d)) * scale
+    v = rng.standard_normal((5, 2, d))
+    frame = rng.standard_normal((5, 2, r, d))
+    with np.errstate(all="ignore"):
+        assert same_bits(lean.step_x(x, dB, 0.01), twice.step_x(x, dB, 0.01))
+        for tangent in (v, frame):
+            for a, b in zip(lean.step_pair(x, tangent, dB, 0.01), twice.step_pair(x, tangent, dB, 0.01)):
+                assert same_bits(a, b)
+
+
+def _broadcast_noise(field):
+    """The same field handed e broadcast to the shape of x."""
+    def wrapped(x, e, *v):
+        x = np.asarray(x, dtype=float)
+        return field(x, np.broadcast_to(np.asarray(e, dtype=float), x.shape), *v)
+    return wrapped
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["kunita", "inversion_plane", "ou(2)", "translation(2)"]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["point", "batch", "grid", "frame"]))
+def test_builtin_fields_broadcast_the_noise_argument_in_arithmetic(name, seed, layout):
+    system = builtin(name).system
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 3, 2)) * 3.0
+    v = rng.standard_normal((4, 3, 2))
+    e = {"point": rng.standard_normal(2), "batch": rng.standard_normal((4, 3, 2)),
+         "grid": rng.standard_normal((4, 1, 2)), "frame": rng.standard_normal((4, 1, 1, 2))}[layout]
+    if layout == "frame":          # a point with a size-1 column axis against 3 columns
+        x, v = x[:, :1, None, :], v[:, :, None, :].swapaxes(1, 2)
+    full = np.broadcast_to(x, np.broadcast_shapes(x.shape, v.shape))
+    assert same_bits(np.broadcast_to(system.diffusion(x, e), x.shape),
+                     _broadcast_noise(system.diffusion)(x, e))
+    assert same_bits(system.diffusion_jacobian(x, e, v),
+                     _broadcast_noise(system.diffusion_jacobian)(full, e, v))
+
+
+def two_run_chunk(system, obs, x, v, eps_ladder, sched, driver, lo, hi):
+    """The semigroup chunk that steps the base point twice: once x-only as
+    column 0 of the (C, 1+E) batch and once as the pair run."""
+    starts = np.stack([x] + [x + e * v for e in eps_ladder])
+    xs, dW = chunk_paths(driver, lo, hi, sched, starts)
+    stepper = Stepper(system)
+    for s in propagate(stepper, xs, dW, sched.dt):
+        pass
+    xb = xs[:, 0, :]
+    for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
+        pass
+    return {"f_vals": np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0),
+            "delta": np.where(p.alive, np.asarray(obs.df(p.x, p.v), dtype=float), 0.0),
+            "trunc": ~(s.alive.all(axis=1) & p.alive)}
+
+
+@pytest.mark.parametrize("name, x, v, t, f", [
+    ("ou(1)", [0.7], [1.0], 0.5, "x^2 + sin(x)"),
+    ("sphere(3)", [0.0, 0.6, 0.8], [1.0, 0.0, 0.0], 0.2, "x + y*z"),
+    ("spec", [1.0, 0.0], [1.0, 0.5], 0.1, "x - y^2"),
+    ("kunita", [12.0, 12.0], [1.0, 0.0], 0.5, "sin(x) + cos(y)"),
+])
+def test_the_semigroup_chunk_steps_the_base_point_once(monkeypatch, name, x, v, t, f):
+    system = _system(name)
+    obs = observable(lambda y: compile_expression(f, system.dim)(y))
+    captured = {}
+
+    def run_one_chunk(n_paths, fn, workers=1):
+        captured.update(fn(0, n_paths))
+        return captured
+    monkeypatch.setattr(semigroup, "run_chunks", run_one_chunk)
+    eps = [1e-1, 1e-2, 1e-3]
+    with np.errstate(all="ignore"):
+        semigroup.gradient_consistency_check(system, obs, x, v, t=t, n_paths=300, seed=9,
+                                             dt=0.01, eps_ladder=eps)
+        want = two_run_chunk(system, obs, np.array(x), np.array(v), eps, schedule_for(t, 0.01),
+                             BrownianDriver(9, system.noise_dim), 0, 300)
+    for key in ("f_vals", "delta"):
+        assert same_bits(captured[key], want[key]), key
+    assert np.array_equal(captured["trunc"], want["trunc"])
+    if name == "kunita":
+        assert want["trunc"].any() and not want["trunc"].all()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flowlab import (
     BrownianDriver,
     ContractError,
+    FlowlabError,
     builtin,
     estimate_Ptf,
     estimate_deltaPt,
@@ -279,3 +280,55 @@ def test_radial_start_is_one_finite_point(x0):
     tr = builtin("translation(2)")
     with pytest.raises(ContractError):
         estimate_radial_moment(tr.system, tr.curvature, x0, 1.0, 0.02, 3, seed=0, dt=0.01)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 3) | st.just(-1), NON_FINITE)
+def test_semigroup_directions_are_one_finite_vector(dim, n, bad):
+    # [1.0, 2.0] on ou(1) used to raise a raw ValueError, a NaN v to return nan
+    system = builtin(f"ou({dim})").system
+    v = [1.0] * n if n != dim and n >= 0 else [bad] + [0.0] * (dim - 1)
+    obs = observable(lambda x: x[..., 0], lambda x, w: w[..., 0])
+    x, kw = [0.5] * dim, dict(n_paths=3, seed=0, dt=0.01)
+    with pytest.raises(ContractError):
+        gradient_consistency_check(system, obs, x, v, 0.02, **kw)
+    with pytest.raises(ContractError):
+        estimate_deltaPt(system, obs, x, v, 0.02, **kw)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.just([]) | st.lists(st.sampled_from([0.0, -0.0, -1e-2, math.nan, math.inf]), min_size=1,
+                              max_size=2).map(lambda bad: [1e-1] + bad))
+def test_eps_ladder_needs_finite_positive_rungs(eps_ladder):
+    # an empty ladder used to raise IndexError; a zero, negative or NaN rung
+    # gave lhs = nan and "pass": false with a RuntimeWarning
+    ou = builtin("ou(1)")
+    obs = observable(lambda x: x[..., 0], lambda x, w: w[..., 0])
+    with pytest.raises(ContractError):
+        gradient_consistency_check(ou.system, obs, [0.5], [1.0], 0.02, 3, seed=0, dt=0.01,
+                                   eps_ladder=eps_ladder)
+
+
+@pytest.mark.parametrize("name, x0", [("ou(1)", [math.nan]), ("ou(2)", [0.0, math.inf]),
+                                      ("punctured_translation(2)", [0.0, 0.0]),
+                                      ("rescaled_punctured_plane", [0.0, 0.0])])
+def test_monte_carlo_starts_are_finite_and_admissible(monkeypatch, name, x0):
+    # a NaN start used to truncate every path and report 0.0, or "pass": true
+    # for the gradient check; the start is now checked before any chunk runs
+    import flowlab.estimators
+    import flowlab.semigroup
+
+    def no_chunks(*args, **kw):
+        raise AssertionError("a chunk ran")
+    for module in (flowlab.estimators, flowlab.semigroup):
+        monkeypatch.setattr(module, "run_chunks", no_chunks)
+    system = builtin(name).system
+    obs = observable(lambda x: x[..., 0], lambda x, w: w[..., 0])
+    v, kw = [1.0] + [0.0] * (system.dim - 1), dict(n_paths=3, seed=0, dt=0.01)
+    calls = [lambda: estimate_Ptf(system, obs, x0, 0.02, **kw),
+             lambda: estimate_deltaPt(system, obs, x0, v, 0.02, **kw),
+             lambda: gradient_consistency_check(system, obs, x0, v, 0.02, **kw),
+             lambda: estimate_exponential_functional(system, obs.f, x0, 0.02, 0.1, **kw)]
+    for call in calls:
+        with pytest.raises(FlowlabError):
+            call()

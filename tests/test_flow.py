@@ -3,6 +3,7 @@ for additive noise, derivative-flow consistency, the ball-exit predicate on
 propagated states, curve transport, explosion handling."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from flowlab import (
     write_trajectory_csv,
 )
 from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory
+from flowlab.geometry import sphere_model
+from flowlab.systems import gradient_brownian_from_embedding
 from flowlab.scenarios import _translation_system
 
 
@@ -327,3 +330,62 @@ def test_trajectory_csv_deterministic():
     a, b = dump(), dump()
     assert a == b
     assert a.splitlines()[0] == "path_id,step,time,x1,x2,exploded"
+
+
+class TestCallCounts:
+    """What one Heun step evaluates, counted through wrapped callables."""
+
+    @staticmethod
+    def counted(fn, log):
+        def wrapped(*args):
+            log.append(np.shape(args[0]))
+            return fn(*args)
+        return wrapped
+
+    def test_a_constant_diffusion_is_evaluated_once_per_step(self):
+        system = builtin("ou(2)").system
+        calls, jac_calls = [], []
+        system = replace(system, diffusion=self.counted(system.diffusion, calls),
+                         diffusion_jacobian=self.counted(system.diffusion_jacobian, jac_calls))
+        sched = schedule_for(0.05, 1e-2)
+        x, dW = chunk_paths(BrownianDriver(4, 2), 0, 8, sched, np.array([0.5, -0.5]))
+        for _ in propagate(Stepper(system), x, dW, sched.dt):
+            pass
+        assert len(calls) == sched.n_steps and not jac_calls
+        calls.clear()
+        for _ in propagate(Stepper(system), x, dW, sched.dt, v=np.ones_like(x)):
+            pass
+        assert len(calls) == len(jac_calls) == sched.n_steps
+
+    def test_a_frame_step_evaluates_the_normal_once_per_point(self):
+        model = sphere_model(3)
+        shapes = []
+        model.normal = self.counted(model.normal, shapes)
+        system = gradient_brownian_from_embedding(model)
+        C, G, r = 5, 2, 2
+        x = np.broadcast_to([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]], (C, G, 3)).copy()
+        frames = np.broadcast_to(np.swapaxes(model.tangent_frame(x[0]), -1, -2), (C, G, r, 3)).copy()
+        shapes.clear()
+        Stepper(system).step_pair(x, frames, np.full((C, 1, 3), 0.01), 1e-2)
+        assert shapes and all(int(np.prod(s[:-1])) == C * G for s in shapes)
+
+    def test_the_semigroup_chunk_runs_the_base_point_once_as_the_pair(self, monkeypatch):
+        import flowlab.semigroup as semigroup
+
+        runs = []
+
+        def recording_propagate(stepper, x, dW, dt, v=None, unit=False):
+            runs.append((np.array(x), v is not None))
+            return propagate(stepper, x, dW, dt, v=v, unit=unit)
+        monkeypatch.setattr(semigroup, "propagate", recording_propagate)
+        system = builtin("ou(1)").system
+        obs = semigroup.observable(lambda x: np.sin(x[..., 0]), lambda x, v: np.cos(x[..., 0]) * v[..., 0])
+        x0 = np.array([0.3])
+        semigroup.gradient_consistency_check(system, obs, x0, [1.0], t=0.05, n_paths=1500, seed=2,
+                                             dt=1e-2, eps_ladder=[0.1, 0.01])
+        assert len(runs) == 4                           # two chunks, one x-only and one pair run each
+        pairs = [x for x, paired in runs if paired]
+        x_only = [x for x, paired in runs if not paired]
+        assert len(pairs) == len(x_only) == 2
+        assert all(np.all(x == x0) for x in pairs)
+        assert not any(np.any(np.all(x == x0, axis=-1)) for x in x_only)
