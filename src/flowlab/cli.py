@@ -150,12 +150,7 @@ def _default_point(scenario: Scenario):
 
 def _resolve_grid(cfg: dict, scenario: Scenario):
     grid = cfg.get("grid")
-    if grid is None:
-        return _default_point(scenario)[None, :]
-    garr = np.asarray(grid, dtype=float)
-    if garr.ndim == 1:
-        garr = garr[None, :]
-    return garr
+    return _default_point(scenario) if grid is None else grid
 
 
 def _resolve_scenario(cfg: dict) -> Scenario:
@@ -351,57 +346,54 @@ _HANDLERS = {
 _DEFAULTS = {"seed": 2026, "paths": 10_000, "dt": 1e-3, "p": 1.0}
 
 
+def _numbers(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _names(text: str) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+#: the semantic flags: config key -> parser of the flag's text (``--key``,
+#: with ``_`` as ``-``); None marks a switch
+_FLAGS = {
+    "scenario": str, "system_spec": str, "seed": int, "paths": int, "dt": float,
+    "t": float, "p": float, "theta": float, "f": str, "k0": float,
+    "radii": _numbers, "horizons": _numbers, "dts": _numbers, "theorems": _names,
+    "x0": _numbers, "v0": _numbers, "terminal": None,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flowlab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", metavar="PATH")
-    ap.add_argument("--scenario")
-    ap.add_argument("--system-spec", dest="system_spec", metavar="PATH")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--paths", type=int)
-    ap.add_argument("--dt", type=float)
-    ap.add_argument("--t", type=float)
-    ap.add_argument("--p", type=float)
-    ap.add_argument("--theta", type=float)
-    ap.add_argument("--f", metavar="EXPR")
-    ap.add_argument("--k0", type=float)
-    ap.add_argument("--radii", metavar="R1,R2,...")
-    ap.add_argument("--horizons", metavar="T1,T2,...")
-    ap.add_argument("--dts", metavar="DT1,DT2,...")
-    ap.add_argument("--theorems", metavar="ID1,ID2,...")
-    ap.add_argument("--x0", metavar="C1,C2,...")
-    ap.add_argument("--v0", metavar="C1,C2,...")
-    ap.add_argument("--terminal", action="store_true", default=None)
+    for key, parse in _FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is None:
+            ap.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            ap.add_argument(flag, dest=key, type=parse,
+                            metavar="A,B,..." if parse in (_numbers, _names) else None)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="flowlab-out")
     ap.add_argument("--format", choices=("json", "csv", "both"), default="json")
     return ap
 
 
-def _csv_list(text, cast=float):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     out = dict(cfg)
-    scalar = {"scenario": args.scenario, "system_spec": args.system_spec,
-              "seed": args.seed, "paths": args.paths, "dt": args.dt,
-              "t": args.t, "p": args.p, "theta": args.theta, "f": args.f,
-              "k0": args.k0, "terminal": args.terminal}
-    for key, val in scalar.items():
-        if val is not None:
-            out[key] = val
-    for key, val, cast in (("radii", args.radii, float), ("horizons", args.horizons, float),
-                           ("dts", args.dts, float), ("x0", args.x0, float),
-                           ("v0", args.v0, float)):
-        if val is not None:
-            out[key] = _csv_list(val, cast)
-    if args.theorems is not None:
-        out["theorems"] = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    out.update((key, val) for key, val in vars(args).items() if key in _FLAGS and val is not None)
     env_seed = os.environ.get("FLOWLAB_SEED")
     if env_seed is not None:
-        out["seed"] = int(env_seed)
+        try:
+            out["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"FLOWLAB_SEED must be an integer, got {env_seed!r}") from None
     return out
 
 

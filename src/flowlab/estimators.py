@@ -5,12 +5,14 @@ envelopes, and the moment-exponent regression.
 
 Conventions shared by every estimator here:
 
-  * path k uses the Brownian stream (seed, stream0 + k); results are therefore
-    deterministic for a given seed and independent of worker count;
-  * chunks start from ``flow.chunk_paths`` and are advanced by
-    ``flow.propagate`` (one explosion and domain-exit policy, see the flow
-    module); an estimator accumulates over the states it is yielded and
-    counts a path with an exploded member as truncated;
+  * paths come from ``flow.run_paths``, which checks the starts (finite and
+    admissible) and gives path k the Brownian stream (seed, stream0 + k);
+    results are therefore deterministic for a given seed and independent of
+    worker count;
+  * each chunk is advanced by ``flow.propagate`` (one explosion and
+    domain-exit policy, see the flow module) and an estimator accumulates
+    over the states it is yielded; a path is truncated when any of its
+    members exploded;
   * all members of a compact grid ride the same increments per path (common
     noise), which is what sup-over-K quantities require;
   * time integrals are left-endpoint Riemann sums on the step grid and
@@ -31,10 +33,8 @@ import numpy as np
 
 from .criteria import _directions_at, eval_Hp
 from .errors import CapabilityError, ContractError
-from .flow import (BrownianDriver, StepSchedule, Stepper, chunk_paths, outside_balls, propagate,
-                   schedule_for, start_points)
+from .flow import Stepper, outside_balls, propagate, run_paths, schedule_for
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
-from .parallel import run_chunks
 from .systems import VectorFieldSystem
 
 Array = np.ndarray
@@ -155,7 +155,10 @@ def _one_vector(a, dim: int, what: str) -> Array:
 
 
 def _grid_array(grid) -> Array:
-    g = np.asarray(grid, dtype=float)
+    try:
+        g = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):     # ragged, or not numbers: rejected as empty
+        g = np.empty(0)
     if g.ndim == 1:
         g = g[None, :]
     if g.ndim != 2 or g.size == 0 or not np.isfinite(g).all():
@@ -179,15 +182,6 @@ def _check_p(p: float) -> None:
         raise ContractError(f"p must be finite and positive, got {p!r}")
 
 
-def _grid_frames(system: VectorFieldSystem, grid: Array) -> Array:
-    """Orthonormal initial frame per grid point, shape (G, k, d)."""
-    model = system.model
-    G, d = grid.shape
-    if isinstance(model, EmbeddedModel):
-        return np.swapaxes(model.tangent_frame(grid), -1, -2)
-    return np.broadcast_to(np.eye(d), (G, d, d)).copy()
-
-
 def _log_opnorm(L: Array, U: Array) -> Array:
     """log operator norm of the frame with log-lengths L (..., k) and unit
     directions U (..., k, d); overflow-safe via the shifted Gram matrix."""
@@ -202,20 +196,21 @@ def _log_opnorm(L: Array, U: Array) -> Array:
     return Lm[..., 0] + 0.5 * np.log(np.maximum(lam, 1e-300))
 
 
-def _frame_scan(system: VectorFieldSystem, grid: Array, sched: StepSchedule,
-                driver: BrownianDriver, lo: int, hi: int, r_expl: float = 1e6):
-    """Stream the coupled (x, frame) evolution of paths lo..hi-1 from a grid:
-    yield ``(state, lognorm)`` at step 0 and after every step, with x (C, G, d),
-    unit frame directions (C, G, k, d) and ``lognorm(rows)`` the (len(rows), G)
-    log of |T_xF| in the model metric, relative to the start, for the paths
-    ``rows`` of the chunk (an index array; ``slice(None)`` for all of them)."""
+def _frame_scan(system: VectorFieldSystem, x: Array, dW: Array, dt: float, r_expl: float = 1e6):
+    """Stream the coupled (x, frame) evolution of a chunk of paths from a grid,
+    starts x (C, G, d) and increments dW: yield ``(state, lognorm)`` at step 0
+    and after every step, with unit frame directions (C, G, k, d) and
+    ``lognorm(rows)`` the (len(rows), G) log of |T_xF| in the model metric,
+    relative to the start, for the paths ``rows`` of the chunk (an index
+    array; ``slice(None)`` for all of them)."""
     model = system.model
-    x, dW = chunk_paths(driver, lo, hi, sched, grid)
-    frames = _grid_frames(system, grid)                       # (G, k, d)
-    U = np.broadcast_to(frames, x.shape[:-1] + frames.shape[1:]).copy()
+    # orthonormal start frames: the tangent frames (G, k, d) of an embedded model
+    frames = np.swapaxes(model.tangent_frame(x[0]), -1, -2) \
+        if isinstance(model, EmbeddedModel) else np.eye(x.shape[-1])
+    U = np.broadcast_to(frames, x.shape[:-1] + frames.shape[-2:]).copy()
     L = np.zeros(U.shape[:-1])                                # log-lengths (C, G, k)
     base = np.asarray(model.log_metric_factor(x))
-    for s in propagate(Stepper(system, r_expl=r_expl), x, dW, sched.dt, v=U, unit=True):
+    for s in propagate(Stepper(system, r_expl=r_expl), x, dW, dt, v=U, unit=True):
         if s.k:
             L = np.where(s.alive[..., None], L + s.logw, L)
         yield s, lambda rows, L=L, s=s: (_log_opnorm(L[rows], s.v[rows])
@@ -254,17 +249,15 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
     _check_p(p)
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
-    def chunk(lo, hi):
+    def chunk(x, dW):
         run = -np.inf
-        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi, r_expl=r_expl):
+        for s, lognorm in _frame_scan(system, x, dW, sched.dt, r_expl=r_expl):
             cur = lognorm(slice(None))
             run = np.where(s.alive, np.maximum(run, cur), run)
-        return {"logv": cur if terminal else run, "trunc": ~s.alive.all(axis=1)}
+        return {"logv": cur if terminal else run, "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
+    out, trunc = run_paths(system, grid, sched, n_paths, seed, chunk, stream0, workers)
     per_point = []
     for g in range(grid.shape[0]):
         est = _estimate_from_exponents(p * out["logv"][:, g], seed, truncated=trunc)
@@ -307,14 +300,13 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
     radii = _ladder(radii, "radius ladder")
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     c = np.zeros(grid.shape[1]) if center is None else _one_vector(center, grid.shape[1], "center")
     J = len(radii)
 
-    def chunk(lo, hi):
-        stopped = np.zeros((hi - lo, J), dtype=bool)
-        value = np.zeros((hi - lo, grid.shape[0], J))
-        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
+    def chunk(x, dW):
+        stopped = np.zeros((len(x), J), dtype=bool)
+        value = np.zeros((len(x), grid.shape[0], J))
+        for s, lognorm in _frame_scan(system, x, dW, sched.dt):
             if s.k == 0:
                 continue
             trig = outside_balls(s, vec_norm(s.x - c), radii).any(axis=1)   # (C, J)
@@ -325,20 +317,13 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
                     value[rows] = np.where(newly[rows, None, :], np.exp(lognorm(rows))[:, :, None],
                                            value[rows])
             stopped |= newly
-        return {"value": value, "trunc": ~s.alive.all(axis=1)}
+        return {"value": value, "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
-    per_point: List[List[MomentEstimate]] = []
-    per_radius_sup: List[MomentEstimate] = []
-    for j in range(J):
-        col = []
-        for g in range(grid.shape[0]):
-            col.append(_mean_estimate(out["value"][:, g, j], seed, truncated=trunc))
-        per_point.append(col)
-        per_radius_sup.append(max(col, key=lambda e: e.value))
-    tail = per_radius_sup[-3:] if J >= 3 else per_radius_sup
-    liminf_proxy = float(min(e.value for e in tail))
+    out, trunc = run_paths(system, grid, sched, n_paths, seed, chunk, stream0, workers)
+    per_point = [[_mean_estimate(out["value"][:, g, j], seed, truncated=trunc)
+                  for g in range(grid.shape[0])] for j in range(J)]
+    per_radius_sup = [max(col, key=lambda e: e.value) for col in per_point]
+    liminf_proxy = float(min(e.value for e in per_radius_sup[-3:]))
     return StoppedMomentResult(radii=radii, per_radius_sup=per_radius_sup,
                                per_point=per_point, liminf_proxy=liminf_proxy,
                                grid=[list(r) for r in grid], t=sched.horizon, dt=dt)
@@ -362,15 +347,13 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
     """
     if theta < 0:
         raise ContractError("theta must be nonnegative")
-    x0 = start_points(system, x0)
+    x0 = _one_vector(x0, system.dim, "x0")
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     horizon = sched.horizon
 
-    def chunk(lo, hi):
-        x, dW = chunk_paths(driver, lo, hi, sched, x0)
-        integral = np.zeros(hi - lo)
-        lse = np.full(hi - lo, -np.inf)
+    def chunk(x, dW):
+        integral = np.zeros(len(x))
+        lse = np.full(len(x), -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 if s.k == sched.n_steps:
@@ -380,11 +363,9 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
                 lse = np.where(s.alive,
                                np.logaddexp(lse, theta * horizon * fx + np.log(sched.dt)),
                                lse)
-        return {"expo": theta * integral, "jensen_log": lse - np.log(horizon),
-                "trunc": ~s.alive}
+        return {"expo": theta * integral, "jensen_log": lse - np.log(horizon), "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
+    out, trunc = run_paths(system, x0, sched, n_paths, seed, chunk, stream0, workers)
     main = _estimate_from_exponents(out["expo"], seed, truncated=trunc)
     companion = _estimate_from_exponents(out["jensen_log"], seed, truncated=trunc)
     return main, companion
@@ -440,31 +421,26 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     radial = _radial_fn(system, curvature)
     x0 = _one_vector(x0, system.dim, "x0")
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     ladder = _ladder(radius_ladder, "radius ladder", min_len=0)
     keys = [f"{n_rad:g}" for n_rad in ladder]
     if len(set(keys)) < len(keys):
         raise ContractError(f"radius ladder rungs {keys!r} must differ in their report keys")
 
-    def chunk(lo, hi):
-        x, dW = chunk_paths(driver, lo, hi, sched, x0)
-        hits = np.zeros((hi - lo, len(ladder)), dtype=bool)
+    def chunk(x, dW):
+        hits = np.zeros((len(x), len(ladder)), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 r = np.asarray(radial(s.x))
                 hits |= outside_balls(s, r, ladder)
-        return {"r_final": r, "hits": hits, "trunc": ~s.alive}
+        return {"r_final": r, "hits": hits, "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
+    out, trunc = run_paths(system, x0, sched, n_paths, seed, chunk, stream0, workers)
     values = (1.0 + out["r_final"]) ** p
     moment = _mean_estimate(values, seed, truncated=trunc)
     r0 = float(np.asarray(radial(x0[None, :]))[0])
-    exit_p, exit_se = {}, {}
-    for j, key in enumerate(keys):
-        hits = out["hits"][:, j].astype(float)
-        exit_p[key] = float(np.mean(hits))
-        exit_se[key] = float(np.std(hits) / np.sqrt(hits.size))
+    exits = [_mean_estimate(out["hits"][:, j], seed) for j in range(len(keys))]
+    exit_p = {key: e.value for key, e in zip(keys, exits)}
+    exit_se = {key: e.se for key, e in zip(keys, exits)}
     bound = bound_ok = exit_bounds = None
     if k0 is not None:
         bound = float((1.0 + r0) ** p * np.exp(k0 * (1.0 + p * p) * sched.horizon))
@@ -512,18 +488,16 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
     # each horizon must be a grid time, so that the moment reported for t is
     # the one evaluated at t
     steps = [schedule_for(h, dt).n_steps for h in horizons]
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
-    def chunk(lo, hi):
-        snaps = np.zeros((hi - lo, grid.shape[0], len(steps)))
-        for s, lognorm in _frame_scan(system, grid, sched, driver, lo, hi):
+    def chunk(x, dW):
+        snaps = np.zeros((len(x), grid.shape[0], len(steps)))
+        for s, lognorm in _frame_scan(system, x, dW, sched.dt):
             for h_idx, step in enumerate(steps):
                 if step == s.k > 0:
                     snaps[:, :, h_idx] = lognorm(slice(None))
-        return {"snaps": snaps, "trunc": ~s.alive.all(axis=1)}
+        return {"snaps": snaps, "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
+    out, trunc = run_paths(system, grid, sched, n_paths, seed, chunk, stream0, workers)
     per_horizon, ys, excluded = [], [], []
     for h_idx in range(len(horizons)):
         ests = [_estimate_from_exponents(p * out["snaps"][:, g, h_idx], seed, truncated=trunc)
@@ -581,20 +555,17 @@ def estimate_girsanov_one_completeness(system: VectorFieldSystem, grid, t: float
     f = sup_h1_field(system, n_directions=n_directions)
     grid = _grid_array(grid)
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
-    def chunk(lo, hi):
-        x, dW = chunk_paths(driver, lo, hi, sched, grid)
+    def chunk(x, dW):
         integral = np.zeros(x.shape[:-1])
         with np.errstate(over="ignore", invalid="ignore"):
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 if s.k == sched.n_steps:
                     break
                 integral = np.where(s.alive, integral + f(s.x) * sched.dt, integral)
-        return {"expo": 0.5 * integral, "trunc": ~s.alive.all(axis=1)}
+        return {"expo": 0.5 * integral, "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
+    out, trunc = run_paths(system, grid, sched, n_paths, seed, chunk, stream0, workers)
     per_point = [_estimate_from_exponents(out["expo"][:, g], seed, truncated=trunc)
                  for g in range(grid.shape[0])]
     return GridMomentResult(sup=_sup_estimate(per_point), per_point=per_point,

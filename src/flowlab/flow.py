@@ -22,6 +22,12 @@ model's exclusion ball) is recorded with its first exit step but keeps moving.
 Exits from a ladder of balls are read off the propagated states by one
 predicate, :func:`outside_balls`: past the radius or exploded.  Stopping times
 are resolved to grid points, a bias of order dt.
+
+Every Monte Carlo estimate runs its paths through one runner,
+:func:`run_paths`: it checks the starts (:func:`start_points`), gives path k
+the stream stream0 + k (:func:`chunk_paths`), maps fixed chunks through
+``parallel.run_chunks`` and counts a path as truncated when any of its members
+exploded.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import EmbeddedModel, ManifoldModel, sum_last, vec_norm
+from .parallel import run_chunks
 from .systems import VectorFieldSystem, as_stratonovich
 
 Array = np.ndarray
@@ -260,6 +267,27 @@ def chunk_paths(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule, x
     return xs, np.expand_dims(np.moveaxis(dW, 1, 0), tuple(range(2, x.ndim + 1)))
 
 
+def run_paths(system: VectorFieldSystem, x, sched: StepSchedule, n_paths: int, seed: int,
+              chunk, stream0: int = 0, workers: int = 1):
+    """Run n_paths Monte Carlo paths from the starts x, a point or a grid,
+    checked by :func:`start_points` before any chunk.  ``chunk(xs, dW)`` gets
+    one chunk's starts and increments from :func:`chunk_paths` (path k on
+    stream stream0 + k) and returns per-path arrays plus ``alive``, the alive
+    mask of its last state.  Returns the arrays concatenated in path order,
+    with ``alive`` reduced to one flag per path (every member alive), and the
+    number of truncated paths, those with an exploded member."""
+    x = start_points(system, x)
+    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
+
+    def span(lo, hi):
+        out = chunk(*chunk_paths(driver, lo, hi, sched, x))
+        out["alive"] = out["alive"].reshape(hi - lo, -1).all(axis=1)
+        return out
+
+    out = run_chunks(n_paths, span, workers=workers)
+    return out, int((~out["alive"]).sum())
+
+
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -366,7 +394,6 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     B, d = members.shape
     n = sched.n_steps
     states = np.empty((n + 1, B, d))
-    sys_strat = stepper.system
     n0 = vec_norm(vs0)
     zero_members = n0 == 0.0
     u = np.where(zero_members[:, None], 0.0, vs0 / np.where(n0 == 0.0, 1.0, n0)[:, None])
@@ -374,7 +401,6 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     logs, Ms, QVs, As = (np.empty((n + 1, B)) for _ in range(4))
     dirs = np.empty((n + 1, B, d))
     M = QV = acc = np.zeros(B)
-    m = system.noise_dim
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s in propagate(stepper, members, dW, sched.dt, v=u, unit=True):
             if s.k:
@@ -387,11 +413,9 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
             Ms[s.k], QVs[s.k], As[s.k] = M, QV, acc
             if s.k == n:
                 break
-            # left-endpoint Ito accumulators for M and <M, M> over the next step
-            g = np.zeros((B, m))
-            for i in range(m):
-                ji = sys_strat.diffusion_jacobian(s.x, np.eye(m)[i], s.v)
-                g[:, i] = sum_last(ji * s.v)
+            # left-endpoint Ito accumulators for M and <M, M> over the next step:
+            # g_i = <D_u X^i, u>, one per noise column
+            g = sum_last(np.swapaxes(stepper.system.column_jacobians(s.x, s.v), -1, -2) * s.v[:, None, :])
             dM = sum_last(g * dW[s.k])
             dQV = sum_last(g * g) * sched.dt
     return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode,

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ContractError
 from .estimators import MomentEstimate, _mean_estimate, _observed, _one_vector
-from .flow import BrownianDriver, Stepper, chunk_paths, propagate, schedule_for, start_points
+from .flow import Stepper, propagate, run_paths, schedule_for
 from .geometry import vec_norm
-from .parallel import run_chunks
 from .systems import VectorFieldSystem
 
 Array = np.ndarray
@@ -56,18 +55,15 @@ def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
                  n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                  workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of f(F_t(x)) 1{t < explosion}."""
-    x = start_points(system, x)
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
-    def chunk(lo, hi):
-        for s in propagate(Stepper(system), *chunk_paths(driver, lo, hi, sched, x), sched.dt):
+    def chunk(xs, dW):
+        for s in propagate(Stepper(system), xs, dW, sched.dt):
             pass
-        vals = np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0)
-        return {"vals": vals, "trunc": ~s.alive}
+        return {"vals": np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0), "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    return _mean_estimate(out["vals"], seed, truncated=int(out["trunc"].sum()))
+    out, trunc = run_paths(system, x, sched, n_paths, seed, chunk, stream0, workers)
+    return _mean_estimate(out["vals"], seed, truncated=trunc)
 
 
 def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: float,
@@ -75,20 +71,16 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of df(F_t(x), T_xF_t(v)) 1{t < explosion} using the
     coupled derivative flow; exactly linear in v under a shared seed."""
-    x = start_points(system, x)
     v = _one_vector(v, system.dim, "v")
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
 
-    def chunk(lo, hi):
-        xs, dW = chunk_paths(driver, lo, hi, sched, x)
+    def chunk(xs, dW):
         for s in propagate(Stepper(system), xs, dW, sched.dt, v=np.broadcast_to(v, xs.shape).copy()):
             pass
-        vals = np.where(s.alive, _observed(obs.df(s.x, s.v), s.x), 0.0)
-        return {"vals": vals, "trunc": ~s.alive}
+        return {"vals": np.where(s.alive, _observed(obs.df(s.x, s.v), s.x), 0.0), "alive": s.alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    return _mean_estimate(out["vals"], seed, truncated=int(out["trunc"].sum()))
+    out, trunc = run_paths(system, x, sched, n_paths, seed, chunk, stream0, workers)
+    return _mean_estimate(out["vals"], seed, truncated=trunc)
 
 
 @dataclass
@@ -141,17 +133,15 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
     at floating-point level), and the pass/fail of the 3-sigma consistency
     test at the smallest epsilon.
     """
-    x = start_points(system, _one_vector(x, system.dim, "x"))
+    x = _one_vector(x, system.dim, "x")
     v = _one_vector(v, system.dim, "v")
     eps_ladder = [float(e) for e in eps_ladder]
     if not eps_ladder or not all(np.isfinite(e) and e > 0 for e in eps_ladder):
         raise ContractError(f"eps_ladder must hold at least one finite step > 0, got {eps_ladder!r}")
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
     starts = np.stack([x] + [x + e * v for e in eps_ladder])   # (1+E, d)
 
-    def chunk(lo, hi):
-        xs, dW = chunk_paths(driver, lo, hi, sched, starts)   # (C, 1+E, d), (n, C, 1, m)
+    def chunk(xs, dW):                                        # (C, 1+E, d), (n, C, 1, m)
         stepper = Stepper(system)
         for s in propagate(stepper, xs[:, 1:], dW, sched.dt):   # the shifted starts
             pass
@@ -162,35 +152,26 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
         alive = np.concatenate([p.alive[:, None], s.alive], axis=1)
         f_vals = np.where(alive, _observed(obs.f(ends), ends), 0.0)
         delta = np.where(p.alive, _observed(obs.df(p.x, p.v), p.x), 0.0)
-        return {"f_vals": f_vals, "delta": delta, "trunc": ~alive.all(axis=1)}
+        return {"f_vals": f_vals, "delta": delta, "alive": alive}
 
-    out = run_chunks(n_paths, chunk, workers=workers)
-    trunc = int(out["trunc"].sum())
-    n = out["delta"].size
-    rhs = float(np.mean(out["delta"]))
-    se_rhs = float(np.std(out["delta"]) / np.sqrt(n))
+    out, trunc = run_paths(system, starts, sched, n_paths, seed, chunk, stream0, workers)
+    rhs = _mean_estimate(out["delta"], seed)
     base = out["f_vals"][:, 0]
-    se_ptf = float(np.std(base) / np.sqrt(n))
-    lhs_by_eps, se_by_eps, disc_by_eps = [], [], []
-    for j, e in enumerate(eps_ladder):
-        fd = (out["f_vals"][:, 1 + j] - base) / e
-        lhs_by_eps.append(float(np.mean(fd)))
-        se_by_eps.append(float(np.std(fd) / np.sqrt(n)))
-        disc_by_eps.append(abs(lhs_by_eps[-1] - rhs))
-    lhs = lhs_by_eps[-1]
-    se_lhs = se_by_eps[-1]
-    combined = float(np.hypot(se_lhs, se_rhs))
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    passed = bool(abs(lhs - rhs) <= 3.0 * combined + FLOAT_SLACK * scale)
+    fds = [_mean_estimate((out["f_vals"][:, 1 + j] - base) / e, seed) for j, e in enumerate(eps_ladder)]
+    disc_by_eps = [abs(fd.value - rhs.value) for fd in fds]
+    lhs = fds[-1]
+    combined = float(np.hypot(lhs.se, rhs.se))
+    scale = 1.0 + abs(lhs.value) + abs(rhs.value)
+    passed = bool(disc_by_eps[-1] <= 3.0 * combined + FLOAT_SLACK * scale)
     slope = None
     if len(eps_ladder) >= 2 and all(dc > 1e-13 * scale for dc in disc_by_eps):
         slope = float(np.polyfit(np.log(eps_ladder), np.log(disc_by_eps), 1)[0])
-    return GradientCheckReport(lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs,
-                               combined_se=combined, discrepancy=abs(lhs - rhs),
-                               passed=passed, se_ptf=se_ptf,
-                               eps_ladder=eps_ladder, lhs_by_eps=lhs_by_eps,
-                               se_by_eps=se_by_eps, discrepancy_by_eps=disc_by_eps,
-                               richardson_slope=slope, n_paths=n, seed=seed,
+    return GradientCheckReport(lhs=lhs.value, rhs=rhs.value, se_lhs=lhs.se, se_rhs=rhs.se,
+                               combined_se=combined, discrepancy=disc_by_eps[-1],
+                               passed=passed, se_ptf=_mean_estimate(base, seed).se,
+                               eps_ladder=eps_ladder, lhs_by_eps=[fd.value for fd in fds],
+                               se_by_eps=[fd.se for fd in fds], discrepancy_by_eps=disc_by_eps,
+                               richardson_slope=slope, n_paths=rhs.n_paths, seed=seed,
                                truncated=trunc)
 
 
@@ -200,14 +181,15 @@ def estimate_nested_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x,
     """Coarse nested estimate of P_t(P_s f)(x): outer paths to t, a fresh inner
     ensemble from each endpoint to s.  Used for semigroup-property checks."""
     sched = schedule_for(t, dt)
-    driver = BrownianDriver(seed, system.noise_dim)
-    for outer in propagate(Stepper(system), *chunk_paths(driver, 0, n_outer, sched, x), sched.dt):
-        pass
+
+    def chunk(xs, dW):
+        for outer in propagate(Stepper(system), xs, dW, sched.dt):
+            pass
+        return {"x": outer.x, "alive": outer.alive}
+
+    out, trunc = run_paths(system, x, sched, n_outer, seed, chunk)
     inner_means = np.zeros(n_outer)
-    for j in range(n_outer):
-        if not outer.alive[j]:
-            continue
-        est = estimate_Ptf(system, obs, outer.x[j], s, n_inner,
-                           seed=seed, dt=dt, stream0=(j + 1) * 1_000_003)
-        inner_means[j] = est.value
-    return _mean_estimate(inner_means, seed, truncated=int((~outer.alive).sum()))
+    for j in np.flatnonzero(out["alive"]):
+        inner_means[j] = estimate_Ptf(system, obs, out["x"][j], s, n_inner, seed=seed, dt=dt,
+                                      stream0=(j + 1) * 1_000_003).value
+    return _mean_estimate(inner_means, seed, truncated=trunc)

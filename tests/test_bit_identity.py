@@ -2,8 +2,9 @@
 they stand in for: short-axis sums, compiled spec expressions, chunked noise,
 frame stepping, row-subset frame norms, the finite-batch classification, the
 unmerged all-alive step, the single constant-diffusion evaluation, the
-built-in fields' noise broadcasting and the single base-point run of the
-semigroup check.  Every comparison is bitwise."""
+built-in fields' noise broadcasting, the single base-point run of the
+semigroup check and the log-radial accumulators.  Every comparison is
+bitwise."""
 
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowlab import BrownianDriver, builtin, load_system, semigroup
+from flowlab import BrownianDriver, builtin, flow, integrate_derivative_flow, load_system, semigroup
 from flowlab.estimators import _log_opnorm
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
 from flowlab.flow import StepSchedule, Stepper, chunk_paths, propagate, schedule_for
@@ -363,7 +364,7 @@ def two_run_chunk(system, obs, x, v, eps_ladder, sched, driver, lo, hi):
         pass
     return {"f_vals": np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0),
             "delta": np.where(p.alive, np.asarray(obs.df(p.x, p.v), dtype=float), 0.0),
-            "trunc": ~(s.alive.all(axis=1) & p.alive)}
+            "alive": s.alive.all(axis=1) & p.alive}
 
 
 @pytest.mark.parametrize("name, x, v, t, f", [
@@ -380,7 +381,7 @@ def test_the_semigroup_chunk_steps_the_base_point_once(monkeypatch, name, x, v, 
     def run_one_chunk(n_paths, fn, workers=1):
         captured.update(fn(0, n_paths))
         return captured
-    monkeypatch.setattr(semigroup, "run_chunks", run_one_chunk)
+    monkeypatch.setattr(flow, "run_chunks", run_one_chunk)
     eps = [1e-1, 1e-2, 1e-3]
     with np.errstate(all="ignore"):
         semigroup.gradient_consistency_check(system, obs, x, v, t=t, n_paths=300, seed=9,
@@ -389,6 +390,34 @@ def test_the_semigroup_chunk_steps_the_base_point_once(monkeypatch, name, x, v, 
                              BrownianDriver(9, system.noise_dim), 0, 300)
     for key in ("f_vals", "delta"):
         assert same_bits(captured[key], want[key]), key
-    assert np.array_equal(captured["trunc"], want["trunc"])
+    assert np.array_equal(captured["alive"], want["alive"])
     if name == "kunita":
-        assert want["trunc"].any() and not want["trunc"].all()
+        assert not want["alive"].all() and want["alive"].any()
+
+
+# ----------------------------------------------------------------------
+# log-radial accumulators
+# ----------------------------------------------------------------------
+
+def test_log_radial_accumulators_are_the_per_column_loop():
+    # inversion_plane's noise is multiplicative, so the martingale term M and
+    # <M, M> are not zero: each step's g_i = <D_u X^i, u>, one noise column at
+    # a time, gives the bits of the column-jacobian stack
+    system = builtin("inversion_plane").system
+    x0 = np.array([[1.0, 0.0], [0.3, -0.8], [-1.5, 0.4]])
+    v0 = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 0.0]])
+    sched = schedule_for(0.3, 1e-2)
+    res = integrate_derivative_flow(system, x0, v0, sched, BrownianDriver(14, 2), mode="log_radial")
+    assert not res.exploded.any()
+    dW = BrownianDriver(14, 2).increments(sched)
+    strat, m = Stepper(system).system, system.noise_dim
+    M, QV = np.zeros((2, sched.n_steps + 1, len(x0)))
+    for k in range(sched.n_steps):
+        x, u = res.states[k], res.directions[k]
+        g = np.zeros((len(x0), m))
+        for i in range(m):
+            g[:, i] = sum_last(strat.diffusion_jacobian(x, np.eye(m)[i], u) * u)
+        M[k + 1] = M[k] + sum_last(g * dW[k])
+        QV[k + 1] = QV[k] + sum_last(g * g) * sched.dt
+    assert same_bits(res.martingale, M) and same_bits(res.quad_variation, QV)
+    assert (res.martingale[-1, :2] != 0.0).all() and (res.quad_variation[-1, :2] > 0.0).all()

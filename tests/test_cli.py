@@ -57,6 +57,17 @@ class TestValidation:
                         "--out", str(tmp_path / "o")])
         assert proc.returncode == 2
 
+    def test_malformed_list_flag(self, tmp_path):
+        # used to end in a raw ValueError traceback with exit code 1
+        proc = run_cli(["stopped-moments", "--radii", "1,x", "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        assert "--radii" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_integer_env_seed(self, tmp_path):
+        proc = run_cli(["certify", "--out", str(tmp_path / "o")], env_extra={"FLOWLAB_SEED": "12x"})
+        assert proc.returncode == 2
+        assert "FLOWLAB_SEED" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_invalid_estimate_exit_code(self, monkeypatch, tmp_path):
         monkeypatch.setitem(cli._HANDLERS, "radial",
                             lambda cfg, scn, workers: ({"bad": True}, None, True))

@@ -11,22 +11,26 @@ from hypothesis import given, settings, strategies as st
 from flowlab import (
     BrownianDriver,
     ContractError,
+    CurvatureData,
     FlowlabError,
     builtin,
     estimate_Ptf,
     estimate_deltaPt,
     estimate_exponential_functional,
     estimate_moment_exponent,
+    estimate_nested_Ptf,
     estimate_radial_moment,
     estimate_stopped_moment,
     estimate_sup_derivative_moment,
     gradient_consistency_check,
     integrate_flow,
+    load_system,
     observable,
     oracle_convergence_study,
     schedule_for,
 )
 from flowlab.estimators import _estimate_from_exponents
+from flowlab import flow
 from flowlab.flow import StepSchedule
 from flowlab.parallel import run_chunks
 
@@ -170,15 +174,15 @@ def test_exponent_mean_is_log_mean_exp(top, reps, offsets):
 # grids, moment orders, radius ladders and centres
 # ----------------------------------------------------------------------
 
-BAD_GRIDS = st.sampled_from([[], [[]], np.zeros((0, 1))]) \
+BAD_GRIDS = st.sampled_from([[], [[]], np.zeros((0, 1)), [[1.0], [1.0, 2.0]], [["a"]]]) \
     | NON_FINITE.map(lambda c: [[1.0], [c]]) | NON_FINITE.map(lambda c: [c])
 
 
 @settings(max_examples=20, deadline=None)
 @given(BAD_GRIDS)
 def test_grids_must_be_nonempty_and_finite(grid):
-    # an empty grid used to raise a raw IndexError or ValueError, and a NaN
-    # point ran and reported 1.0
+    # an empty, ragged or non-numeric grid used to raise a raw IndexError or
+    # ValueError, and a NaN point ran and reported 1.0
     ou = builtin("ou(1)")
     kw = dict(n_paths=3, seed=0, dt=0.01)
     calls = [lambda: estimate_sup_derivative_moment(ou.system, grid, 1.0, 0.02, **kw),
@@ -282,6 +286,15 @@ def test_radial_start_is_one_finite_point(x0):
         estimate_radial_moment(tr.system, tr.curvature, x0, 1.0, 0.02, 3, seed=0, dt=0.01)
 
 
+def test_exponential_functional_start_is_one_point():
+    # two starts on two paths used to run and report one mean over both
+    # starts, with n_paths 4
+    ou = builtin("ou(1)")
+    with pytest.raises(ContractError):
+        estimate_exponential_functional(ou.system, lambda x: x[..., 0], [[0.5], [2.0]], 0.02, 0.1,
+                                        2, seed=0, dt=0.01)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(0, 3) | st.just(-1), NON_FINITE)
 def test_semigroup_directions_are_one_finite_vector(dim, n, bad):
@@ -309,26 +322,37 @@ def test_eps_ladder_needs_finite_positive_rungs(eps_ladder):
                                    eps_ladder=eps_ladder)
 
 
+#: a flat spec-file system punctured at (1, 2)
+PUNCTURED_SPEC = {"name": "punctured_spec", "dim": 2, "noise_dim": 2,
+                  "diffusion": [["1", "0"], ["0", "1"]], "drift": ["0", "0"],
+                  "model": {"kind": "punctured_flat", "puncture": [1.0, 2.0]}}
+
+
 @pytest.mark.parametrize("name, x0", [("ou(1)", [math.nan]), ("ou(2)", [0.0, math.inf]),
                                       ("punctured_translation(2)", [0.0, 0.0]),
-                                      ("rescaled_punctured_plane", [0.0, 0.0])])
+                                      ("rescaled_punctured_plane", [0.0, 0.0]),
+                                      ("punctured spec", [1.0, 2.0])])
 def test_monte_carlo_starts_are_finite_and_admissible(monkeypatch, name, x0):
     # a NaN start used to truncate every path and report 0.0, or "pass": true
-    # for the gradient check; the start is now checked before any chunk runs
-    import flowlab.estimators
-    import flowlab.semigroup
-
+    # for the gradient check; a grid at a puncture reported a sup moment of
+    # 1.0, stopped moments of 0.0 and an exponent slope of 0.0, and the nested
+    # estimate from [nan] 0.0; every start is now checked before any chunk runs
     def no_chunks(*args, **kw):
         raise AssertionError("a chunk ran")
-    for module in (flowlab.estimators, flowlab.semigroup):
-        monkeypatch.setattr(module, "run_chunks", no_chunks)
-    system = builtin(name).system
+    monkeypatch.setattr(flow, "run_chunks", no_chunks)
+    system = load_system(PUNCTURED_SPEC) if name == "punctured spec" else builtin(name).system
+    curvature = CurvatureData(pole=np.zeros(system.dim))
     obs = observable(lambda x: x[..., 0], lambda x, w: w[..., 0])
     v, kw = [1.0] + [0.0] * (system.dim - 1), dict(n_paths=3, seed=0, dt=0.01)
     calls = [lambda: estimate_Ptf(system, obs, x0, 0.02, **kw),
              lambda: estimate_deltaPt(system, obs, x0, v, 0.02, **kw),
              lambda: gradient_consistency_check(system, obs, x0, v, 0.02, **kw),
-             lambda: estimate_exponential_functional(system, obs.f, x0, 0.02, 0.1, **kw)]
+             lambda: estimate_exponential_functional(system, obs.f, x0, 0.02, 0.1, **kw),
+             lambda: estimate_nested_Ptf(system, obs, x0, 0.02, 0.02, 3, 3, seed=0, dt=0.01),
+             lambda: estimate_radial_moment(system, curvature, x0, 1.0, 0.02, **kw),
+             lambda: estimate_sup_derivative_moment(system, [x0], 1.0, 0.02, **kw),
+             lambda: estimate_stopped_moment(system, [x0], [1.0, 2.0], 0.02, **kw),
+             lambda: estimate_moment_exponent(system, [x0], 1.0, [0.01, 0.02], **kw)]
     for call in calls:
         with pytest.raises(FlowlabError):
             call()

@@ -22,7 +22,7 @@ from flowlab import (
     transport_curve,
     write_trajectory_csv,
 )
-from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory
+from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory, run_paths
 from flowlab.geometry import sphere_model
 from flowlab.systems import gradient_brownian_from_embedding
 from flowlab.scenarios import _translation_system
@@ -389,3 +389,29 @@ class TestCallCounts:
         assert len(pairs) == len(x_only) == 2
         assert all(np.all(x == x0) for x in pairs)
         assert not any(np.any(np.all(x == x0, axis=-1)) for x in x_only)
+
+
+class TestRunPaths:
+    def test_run_paths_is_chunk_paths_then_propagate(self):
+        # kunita from (12, 12) explodes on some paths, from (0.5, -0.5) on
+        # none, so a truncated path is one with *some* exploded member
+        system = builtin("kunita").system
+        grid = np.array([[12.0, 12.0], [0.5, -0.5]])
+        sched = schedule_for(0.5, 1e-2)
+
+        def chunk(x, dW):
+            for s in propagate(Stepper(system), x, dW, sched.dt):
+                pass
+            return {"x": s.x, "alive": s.alive}
+
+        n = 1500                       # two chunks of parallel.DEFAULT_CHUNK
+        with np.errstate(all="ignore"):
+            out, truncated = run_paths(system, grid, sched, n, 5, chunk, stream0=3)
+            x, dW = chunk_paths(BrownianDriver(5, 2, stream=3), 0, n, sched, grid)
+            for s in propagate(Stepper(system), x, dW, sched.dt):
+                pass
+        assert np.array_equal(out["x"].view(np.uint64), s.x.view(np.uint64))
+        some = ~s.alive.all(axis=1)
+        assert np.array_equal(out["alive"], ~some)
+        assert truncated == int(some.sum())
+        assert 0 < truncated < n and s.alive.any(axis=1).all()
