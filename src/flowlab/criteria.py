@@ -10,7 +10,7 @@ Every condition is evaluated in one broadcast call over a ``SampleSet``: the
 points of all radius bands in band order with their tangent directions.
 Per-direction values are reduced to a per-point ratio (the max over kept
 directions), then to the per-band maxima, the global maximum and the first
-point that attains it.
+point in band order that attains it up to ``TIE_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ DIVERGENCE_FACTOR = 4.0
 #: smallest worst ratio a diverging trend can have; below this the growth is
 #: within the noise/transient band of a bounded condition
 MIN_DIVERGENT_RATIO = 0.5
+
+#: ratios this close to a condition's max, relative to max(1, |max|), tie with it
+TIE_TOLERANCE = 1e-12
 
 #: default radius sweep for growth certification
 DEFAULT_RADII = tuple(np.geomspace(0.5, 1.0e3, 12))
@@ -367,12 +370,15 @@ class SampleSet:
 
     def condition(self, name: str, ratio: Array) -> ConditionCheck:
         """Reduce per-point ratios (non-finite read as +inf) to a check: the
-        band maxima, the global maximum and the first point attaining it."""
+        band maxima, the global maximum and, as its point, the first in band
+        order within ``TIE_TOLERANCE * max(1, |max|)`` of it, so that exact
+        ties do not hang on last-bit rounding."""
         r = np.broadcast_to(np.asarray(ratio, dtype=float), self.x.shape[:1])
         r = np.where(np.isfinite(r), r, np.inf)
         band_ratios = np.maximum.reduceat(r, self.starts).tolist()
-        i = int(np.argmax(r))
-        worst = float(r[i])
+        worst = float(r.max())
+        tol = TIE_TOLERANCE * max(1.0, abs(worst)) if np.isfinite(worst) else 0.0
+        i = int(np.argmax(r >= worst - tol))
         top, bottom = band_ratios[-1], band_ratios[0]
         # a diverging trend: the far band holds the global max, dwarfs the near
         # band, and is large in absolute terms (sign-crossing transients and

@@ -8,7 +8,7 @@ Conventions shared by every estimator here:
   * paths come from ``flow.run_paths``, which checks the starts (finite and
     admissible) and gives path k the Brownian stream (seed, stream0 + k);
     results are therefore deterministic for a given seed and independent of
-    worker count;
+    worker count and chunking;
   * each chunk is advanced by ``flow.propagate`` (one explosion and
     domain-exit policy, see the flow module) and an estimator accumulates
     over the states it is yielded; a path is truncated when any of its

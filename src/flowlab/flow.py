@@ -25,9 +25,10 @@ are resolved to grid points, a bias of order dt.
 
 Every Monte Carlo estimate runs its paths through one runner,
 :func:`run_paths`: it checks the starts (:func:`start_points`), gives path k
-the stream stream0 + k (:func:`chunk_paths`), maps fixed chunks through
-``parallel.run_chunks`` and counts a path as truncated when any of its members
-exploded.
+the stream stream0 + k (:func:`chunk_paths`), maps one chunk per worker
+(``parallel.chunk_size``) through ``parallel.run_chunks`` and counts a path as
+truncated when any of its members exploded.  A path's numbers do not depend on
+the chunk it runs in, so the chunking never changes a result.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import EmbeddedModel, ManifoldModel, sum_last, vec_norm
-from .parallel import run_chunks
+from .parallel import chunk_size, run_chunks
 from .systems import VectorFieldSystem, as_stratonovich
 
 Array = np.ndarray
@@ -275,16 +276,23 @@ def run_paths(system: VectorFieldSystem, x, sched: StepSchedule, n_paths: int, s
     stream stream0 + k) and returns per-path arrays plus ``alive``, the alive
     mask of its last state.  Returns the arrays concatenated in path order,
     with ``alive`` reduced to one flag per path (every member alive), and the
-    number of truncated paths, those with an exploded member."""
+    number of truncated paths, those with an exploded member.
+
+    Each worker gets one chunk, capped by ``parallel.CHUNK_BYTES`` for the
+    float64 noise and the member states (a point and a frame of d tangents
+    per member) of its paths."""
     x = start_points(system, x)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
+    d = system.dim
+    members = x.size // d
+    size = chunk_size(n_paths, workers, 8 * (sched.n_steps * system.noise_dim + members * d * (d + 1)))
 
     def span(lo, hi):
         out = chunk(*chunk_paths(driver, lo, hi, sched, x))
         out["alive"] = out["alive"].reshape(hi - lo, -1).all(axis=1)
         return out
 
-    out = run_chunks(n_paths, span, workers=workers)
+    out = run_chunks(n_paths, span, workers=workers, chunk=size)
     return out, int((~out["alive"]).sum())
 
 

@@ -1,11 +1,14 @@
 """Chunked path-parallel map-reduce.
 
-Paths are processed in fixed-size chunks in fixed order; a chunk function
+Paths are processed in contiguous chunks in path order; a chunk function
 returns a dict of per-path arrays which are concatenated chunk by chunk.
-Because stream ids are assigned by path index and the reduction order is
-fixed, results are bit-identical for any worker count.  Workers use the fork
-start method and read the active chunk function from a module global, so
-closures over systems and schedules need no pickling.
+Stream ids are assigned by path index, a chunk function computes each path's
+results without reference to the other paths of its chunk, and the
+concatenation order is fixed, so results are bit-identical for any worker
+count and any chunking.  The chunk size is therefore an execution detail:
+:func:`chunk_size` gives each worker one chunk, within a memory budget.
+Workers use the fork start method and read the active chunk function from a
+module global, so closures over systems and schedules need no pickling.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ import numpy as np
 
 from .errors import ContractError
 
+#: chunk size of a :func:`run_chunks` call that does not choose one
 DEFAULT_CHUNK = 1024
+
+#: memory budget of one chunk, in bytes: its noise block and member states
+CHUNK_BYTES = 64 * 2 ** 20
 
 _ACTIVE_FN = None
 
@@ -26,12 +33,26 @@ def _trampoline(span):
     return _ACTIVE_FN(*span)
 
 
-def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],
-               workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dict[str, np.ndarray]:
-    """Apply fn(lo, hi) over fixed chunks of [0, n_paths) and concatenate results."""
-    global _ACTIVE_FN
+def check_paths(n_paths) -> None:
+    """``ContractError`` unless n_paths is a whole number >= 1."""
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise ContractError(f"need a whole number of paths >= 1, got n_paths={n_paths!r}")
+
+
+def chunk_size(n_paths: int, workers: int, path_bytes: int) -> int:
+    """One chunk per worker, ceil(n_paths / workers) paths, capped so that a
+    chunk of paths of ``path_bytes`` bytes each fits in ``CHUNK_BYTES``;
+    at least one path."""
+    check_paths(n_paths)
+    per_worker = -(-n_paths // max(workers, 1))
+    return max(1, min(per_worker, CHUNK_BYTES // path_bytes))
+
+
+def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],
+               workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dict[str, np.ndarray]:
+    """Apply fn(lo, hi) over chunks of [0, n_paths) and concatenate results."""
+    global _ACTIVE_FN
+    check_paths(n_paths)
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     if workers <= 1 or len(spans) == 1:
         parts = [fn(lo, hi) for lo, hi in spans]

@@ -54,7 +54,8 @@ def observable(f, df=None, f_bound=None, df_bound=None) -> ScalarObservable:
 def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
                  n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                  workers: int = 1) -> MomentEstimate:
-    """Monte Carlo mean of f(F_t(x)) 1{t < explosion}."""
+    """Monte Carlo mean of f(F_t(x)) 1{t < explosion} from one start x."""
+    x = _one_vector(x, system.dim, "x")
     sched = schedule_for(t, dt)
 
     def chunk(xs, dW):
@@ -70,7 +71,9 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
                      n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                      workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of df(F_t(x), T_xF_t(v)) 1{t < explosion} using the
-    coupled derivative flow; exactly linear in v under a shared seed."""
+    coupled derivative flow from one start x; exactly linear in v under a
+    shared seed."""
+    x = _one_vector(x, system.dim, "x")
     v = _one_vector(v, system.dim, "v")
     sched = schedule_for(t, dt)
 
@@ -180,6 +183,7 @@ def estimate_nested_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x,
                         dt: float = 1e-2) -> MomentEstimate:
     """Coarse nested estimate of P_t(P_s f)(x): outer paths to t, a fresh inner
     ensemble from each endpoint to s.  Used for semigroup-property checks."""
+    x = _one_vector(x, system.dim, "x")
     sched = schedule_for(t, dt)
 
     def chunk(xs, dW):

@@ -6,14 +6,19 @@ built-in fields' noise broadcasting, the single base-point run of the
 semigroup check and the log-radial accumulators.  Every comparison is
 bitwise."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowlab import BrownianDriver, builtin, flow, integrate_derivative_flow, load_system, semigroup
-from flowlab.estimators import _log_opnorm
+from flowlab import (BrownianDriver, CurvatureData, builtin, flow, integrate_derivative_flow,
+                     load_system, semigroup)
+from flowlab.estimators import (_log_opnorm, estimate_exponential_functional,
+                                estimate_girsanov_one_completeness, estimate_moment_exponent,
+                                estimate_radial_moment, estimate_stopped_moment,
+                                estimate_sup_derivative_moment)
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
 from flowlab.flow import StepSchedule, Stepper, chunk_paths, propagate, schedule_for
 from flowlab.semigroup import observable
@@ -378,7 +383,7 @@ def test_the_semigroup_chunk_steps_the_base_point_once(monkeypatch, name, x, v, 
     obs = observable(lambda y: compile_expression(f, system.dim)(y))
     captured = {}
 
-    def run_one_chunk(n_paths, fn, workers=1):
+    def run_one_chunk(n_paths, fn, workers=1, chunk=None):
         captured.update(fn(0, n_paths))
         return captured
     monkeypatch.setattr(flow, "run_chunks", run_one_chunk)
@@ -421,3 +426,75 @@ def test_log_radial_accumulators_are_the_per_column_loop():
         QV[k + 1] = QV[k] + sum_last(g * g) * sched.dt
     assert same_bits(res.martingale, M) and same_bits(res.quad_variation, QV)
     assert (res.martingale[-1, :2] != 0.0).all() and (res.quad_variation[-1, :2] > 0.0).all()
+
+
+# ----------------------------------------------------------------------
+# any chunking
+# ----------------------------------------------------------------------
+
+#: 12 paths: one per chunk, a divisor, a size that does not divide, all in one
+N_PATHS, CHUNKINGS = 12, (1, 3, 5, 12)
+
+#: per system: a start, a tangent, a two-point grid (kunita's far point
+#: explodes on some paths), a radius ladder, a spec-language observable and
+#: the entry points the system cannot take (the H_1 field needs a gradient
+#: system, the radial moment a pole distance)
+CHUNKING_CASES = {
+    "kunita": ([0.5, -0.5], [1.0, 0.5], [[12.0, 12.0], [0.5, -0.5]], [1.0, 16.0, 64.0],
+               "sin(x) + y^2", {"girsanov"}),
+    "spec": ([1.0, 0.0], [1.0, 0.5], [[1.0, 0.0], [-0.5, 2.0]], [1.0, 2.0], "x - y^2",
+             {"girsanov"}),
+    "sphere(3)": ([0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [[0.0, 0.6, 0.8], [0.6, 0.0, 0.8]],
+                  [0.5, 1.0], "x + y*z", {"radial"}),
+}
+
+
+def _every_estimator(system, x0, v, grid, radii, f, cannot):
+    """The ten Monte Carlo entry points but ``cannot`` on one system, as
+    report bytes."""
+    obs = observable(compile_expression(f, system.dim))
+    t, kw = 0.5, dict(n_paths=N_PATHS, seed=21, dt=0.01)
+    curvature = CurvatureData(pole=np.zeros(system.dim))
+    runs = {
+        "sup-derivative": lambda: estimate_sup_derivative_moment(system, grid, 2.0, t, **kw),
+        "stopped": lambda: estimate_stopped_moment(system, grid, radii, t, **kw),
+        "exp-functional": lambda: estimate_exponential_functional(system, obs.f, x0, t, 0.5, **kw),
+        "radial": lambda: estimate_radial_moment(system, curvature, x0, 2.0, t, radius_ladder=radii,
+                                                 **kw),
+        "exponent": lambda: estimate_moment_exponent(system, grid, 2.0, [0.1, t], **kw),
+        "girsanov": lambda: estimate_girsanov_one_completeness(system, grid, t, **kw),
+        "Ptf": lambda: semigroup.estimate_Ptf(system, obs, x0, t, **kw),
+        "deltaPt": lambda: semigroup.estimate_deltaPt(system, obs, x0, v, t, **kw),
+        "gradient-check": lambda: semigroup.gradient_consistency_check(system, obs, x0, v, t, **kw),
+        "nested": lambda: semigroup.estimate_nested_Ptf(system, obs, x0, t, t, N_PATHS, 3, seed=21,
+                                                        dt=0.01),
+    }
+    out = {}
+    with np.errstate(all="ignore"):
+        for name, run in runs.items():
+            if name in cannot:
+                continue
+            res = run()
+            parts = res if isinstance(res, tuple) else (res,)
+            out[name] = json.dumps([p.to_dict() for p in parts], sort_keys=True)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKING_CASES))
+def test_any_chunking_gives_the_same_bytes(monkeypatch, name):
+    # a path's numbers may not depend on the paths that share its chunk; a
+    # ufunc loop that depends on the batch's layout (np.power on compiled
+    # spec expressions) would break this, hence the spec system
+    system = _system(name)
+    want = _every_estimator(system, *CHUNKING_CASES[name])
+    for size in CHUNKINGS:
+        monkeypatch.setattr(flow, "chunk_size", lambda *args: size)
+        got = _every_estimator(system, *CHUNKING_CASES[name])
+        assert got == want, [k for k in want if got[k] != want[k]]
+    if name == "kunita":           # the split also cuts between truncated and whole paths
+        assert json.loads(want["stopped"])[0]["per_radius_sup"][0]["truncated"] > 0
+
+
+def test_the_chunking_cases_cover_the_ten_entry_points():
+    cannot = set.intersection(*(case[-1] for case in CHUNKING_CASES.values()))
+    assert not cannot

@@ -97,8 +97,8 @@ class TestReports:
         assert (a / "stopped-moments.json").read_bytes() == (b / "stopped-moments.json").read_bytes()
         assert (a / "stopped-moments.csv").read_bytes() == (b / "stopped-moments.csv").read_bytes()
 
-    # every chunked estimator, with more paths than one chunk holds, so that
-    # the fan-out really splits the work
+    # every chunked estimator: one worker runs all paths as one chunk, eight
+    # split them into eight chunks on the fork pool
     @pytest.mark.parametrize("base", [
         pytest.param(["derivative-moments", "--scenario", "ou(1)", "--paths", "2500",
                       "--dt", "0.01", "--t", "0.5"], id="derivative-moments"),

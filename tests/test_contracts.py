@@ -29,6 +29,7 @@ from flowlab import (
     oracle_convergence_study,
     schedule_for,
 )
+from flowlab.criteria import TIE_TOLERANCE, SampleSet
 from flowlab.estimators import _estimate_from_exponents
 from flowlab import flow
 from flowlab.flow import StepSchedule
@@ -59,6 +60,19 @@ def test_oracle_study_needs_a_whole_number_of_paths(n_paths):
     tr = builtin("translation(2)")
     with pytest.raises(ContractError):
         oracle_convergence_study(tr, [0.0, 0.0], 0.02, [4e-3, 1e-3], n_paths, seed=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(allow_nan=False).filter(lambda n: n != int(n) if math.isfinite(n) else True)
+       | st.integers(1, 5).map(float) | st.just("3") | st.integers(max_value=0),
+       st.integers(1, 4))
+def test_path_count_is_checked_before_the_chunk_size(n_paths, workers):
+    # the chunk size is computed from n_paths: 2.5 must still be a
+    # ContractError, not a raw error from the sizing arithmetic
+    ou = builtin("ou(1)")
+    with pytest.raises(ContractError):
+        estimate_sup_derivative_moment(ou.system, [1.0], 1.0, 0.02, n_paths, seed=0, dt=0.01,
+                                       workers=workers)
 
 
 @settings(max_examples=20, deadline=None)
@@ -356,3 +370,56 @@ def test_monte_carlo_starts_are_finite_and_admissible(monkeypatch, name, x0):
     for call in calls:
         with pytest.raises(FlowlabError):
             call()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4))
+def test_semigroup_estimates_take_one_start(dim, coords):
+    # [[0.5], [2.0]] on ou(1) used to return one mean over both starts, with
+    # n_paths 200 for 100 paths
+    system = builtin(f"ou({dim})").system
+    starts = [[c] * dim for c in coords]             # G >= 2 starts
+    obs = observable(lambda x: x[..., 0], lambda x, w: w[..., 0])
+    v, kw = [1.0] * dim, dict(n_paths=3, seed=0, dt=0.01)
+    calls = [lambda: estimate_Ptf(system, obs, starts, 0.02, **kw),
+             lambda: estimate_deltaPt(system, obs, starts, v, 0.02, **kw),
+             lambda: estimate_nested_Ptf(system, obs, starts, 0.02, 0.02, 3, 3, seed=0, dt=0.01)]
+    for call in calls:
+        with pytest.raises(ContractError):
+            call()
+
+
+#: ratio levels of a condition, and the nudges that make near-ties of them
+RATIO_LEVELS = st.sampled_from([-2.0, 0.0, 0.5, 3.0, 1e6, math.inf, math.nan])
+NUDGES = st.sampled_from(["none", "up", "down", "far"])
+
+
+def _nudged(r, how):
+    if not np.isfinite(r):
+        return r
+    return {"none": r, "up": np.nextafter(r, np.inf), "down": np.nextafter(r, -np.inf),
+            "far": r - 1e-9 * max(1.0, abs(r))}[how]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_worst_point_is_the_first_near_tie_in_band_order(bands, data):
+    n = sum(bands)
+    levels = data.draw(st.lists(RATIO_LEVELS, min_size=n, max_size=n))
+    nudges = data.draw(st.lists(NUDGES, min_size=n, max_size=n))
+    ratio = np.array([_nudged(r, h) for r, h in zip(levels, nudges)])
+    x = np.arange(2.0 * n).reshape(n, 2)
+    S = SampleSet(x=x, dirs=np.ones((n, 1, 2)), keep=np.ones((n, 1), dtype=bool),
+                  starts=np.cumsum([0] + bands[:-1]))
+    check = S.condition("c", ratio)
+    r = np.where(np.isfinite(ratio), ratio, np.inf)
+    # constant and worst ratio stay the global max; non-finite reads as +inf
+    assert check.constant == check.worst_ratio == r.max()
+    tol = TIE_TOLERANCE * max(1.0, abs(r.max())) if np.isfinite(r.max()) else 0.0
+    first = int(np.flatnonzero(r >= r.max() - tol)[0])
+    assert check.worst_point == x[first].tolist()
+    # last-bit rounding of the ratios does not move the worst point
+    again = S.condition("c", np.array([_nudged(q, data.draw(NUDGES.filter(lambda h: h != "far")))
+                                       for q in ratio]))
+    assert again.worst_point == check.worst_point
+

@@ -13,6 +13,7 @@ from flowlab import (
     BrownianDriver,
     PuncturedFlatModel,
     builtin,
+    flow,
     integrate_derivative_flow,
     integrate_flow,
     oracle_flow,
@@ -24,6 +25,7 @@ from flowlab import (
 )
 from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory, run_paths
 from flowlab.geometry import sphere_model
+from flowlab.parallel import CHUNK_BYTES, chunk_size
 from flowlab.systems import gradient_brownian_from_embedding
 from flowlab.scenarios import _translation_system
 
@@ -381,14 +383,19 @@ class TestCallCounts:
         system = builtin("ou(1)").system
         obs = semigroup.observable(lambda x: np.sin(x[..., 0]), lambda x, v: np.cos(x[..., 0]) * v[..., 0])
         x0 = np.array([0.3])
-        semigroup.gradient_consistency_check(system, obs, x0, [1.0], t=0.05, n_paths=1500, seed=2,
-                                             dt=1e-2, eps_ladder=[0.1, 0.01])
-        assert len(runs) == 4                           # two chunks, one x-only and one pair run each
-        pairs = [x for x, paired in runs if paired]
-        x_only = [x for x, paired in runs if not paired]
-        assert len(pairs) == len(x_only) == 2
-        assert all(np.all(x == x0) for x in pairs)
-        assert not any(np.any(np.all(x == x0, axis=-1)) for x in x_only)
+        # one worker runs its 1500 paths as one chunk; a forced size of 500 makes three
+        for size, n_chunks in ((None, 1), (500, 3)):
+            if size is not None:
+                monkeypatch.setattr(flow, "chunk_size", lambda *args: size)
+            runs.clear()
+            semigroup.gradient_consistency_check(system, obs, x0, [1.0], t=0.05, n_paths=1500, seed=2,
+                                                 dt=1e-2, eps_ladder=[0.1, 0.01])
+            assert len(runs) == 2 * n_chunks            # one x-only and one pair run per chunk
+            pairs = [x for x, paired in runs if paired]
+            x_only = [x for x, paired in runs if not paired]
+            assert len(pairs) == len(x_only) == n_chunks
+            assert all(np.all(x == x0) for x in pairs)
+            assert not any(np.any(np.all(x == x0, axis=-1)) for x in x_only)
 
 
 class TestRunPaths:
@@ -404,9 +411,9 @@ class TestRunPaths:
                 pass
             return {"x": s.x, "alive": s.alive}
 
-        n = 1500                       # two chunks of parallel.DEFAULT_CHUNK
+        n = 1500                       # two chunks of 750 paths, one per worker
         with np.errstate(all="ignore"):
-            out, truncated = run_paths(system, grid, sched, n, 5, chunk, stream0=3)
+            out, truncated = run_paths(system, grid, sched, n, 5, chunk, stream0=3, workers=2)
             x, dW = chunk_paths(BrownianDriver(5, 2, stream=3), 0, n, sched, grid)
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 pass
@@ -415,3 +422,19 @@ class TestRunPaths:
         assert np.array_equal(out["alive"], ~some)
         assert truncated == int(some.sum())
         assert 0 < truncated < n and s.alive.any(axis=1).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(1, 64), st.integers(1, 2 * CHUNK_BYTES))
+    def test_one_chunk_per_worker_within_the_memory_budget(self, n_paths, workers, path_bytes):
+        size = chunk_size(n_paths, workers, path_bytes)
+        n_chunks = -(-n_paths // size)
+        assert 1 <= size <= n_paths
+        assert size * path_bytes <= CHUNK_BYTES or size == 1
+        if -(-n_paths // workers) * path_bytes <= CHUNK_BYTES:      # under budget
+            # fixed-size chunks cannot always make exactly min(workers, n_paths)
+            # (10 paths on 6 workers: 5 chunks of 2), but never make more, and
+            # no smaller size keeps to one chunk per worker
+            assert n_chunks <= min(workers, n_paths)
+            assert size == 1 or -(-n_paths // (size - 1)) > workers
+            if n_paths % workers == 0 or workers >= n_paths:
+                assert n_chunks == min(workers, n_paths)
