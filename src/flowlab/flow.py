@@ -278,14 +278,11 @@ def run_paths(system: VectorFieldSystem, x, sched: StepSchedule, n_paths: int, s
     with ``alive`` reduced to one flag per path (every member alive), and the
     number of truncated paths, those with an exploded member.
 
-    Each worker gets one chunk, capped by ``parallel.CHUNK_BYTES`` for the
-    float64 noise and the member states (a point and a frame of d tangents
-    per member) of its paths."""
+    Each worker gets one chunk, capped by ``parallel.chunk_size`` for the
+    float64 noise block of its paths."""
     x = start_points(system, x)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
-    d = system.dim
-    members = x.size // d
-    size = chunk_size(n_paths, workers, 8 * (sched.n_steps * system.noise_dim + members * d * (d + 1)))
+    size = chunk_size(n_paths, workers, 8 * sched.n_steps * system.noise_dim)
 
     def span(lo, hi):
         out = chunk(*chunk_paths(driver, lo, hi, sched, x))

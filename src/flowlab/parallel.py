@@ -23,7 +23,7 @@ from .errors import ContractError
 #: chunk size of a :func:`run_chunks` call that does not choose one
 DEFAULT_CHUNK = 1024
 
-#: memory budget of one chunk, in bytes: its noise block and member states
+#: memory budget of one chunk's noise block, in bytes, above DEFAULT_CHUNK paths
 CHUNK_BYTES = 64 * 2 ** 20
 
 _ACTIVE_FN = None
@@ -39,13 +39,14 @@ def check_paths(n_paths) -> None:
         raise ContractError(f"need a whole number of paths >= 1, got n_paths={n_paths!r}")
 
 
-def chunk_size(n_paths: int, workers: int, path_bytes: int) -> int:
+def chunk_size(n_paths: int, workers: int, noise_bytes: int) -> int:
     """One chunk per worker, ceil(n_paths / workers) paths, capped so that a
-    chunk of paths of ``path_bytes`` bytes each fits in ``CHUNK_BYTES``;
-    at least one path."""
+    chunk's noise, ``noise_bytes`` per path, fits in ``CHUNK_BYTES``.  The
+    cap is never below ``DEFAULT_CHUNK`` paths, so it never makes more chunks
+    than a fixed ``DEFAULT_CHUNK`` would."""
     check_paths(n_paths)
     per_worker = -(-n_paths // max(workers, 1))
-    return max(1, min(per_worker, CHUNK_BYTES // path_bytes))
+    return min(per_worker, max(DEFAULT_CHUNK, CHUNK_BYTES // max(noise_bytes, 1)))
 
 
 def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],

@@ -25,7 +25,7 @@ from flowlab import (
 )
 from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory, run_paths
 from flowlab.geometry import sphere_model
-from flowlab.parallel import CHUNK_BYTES, chunk_size
+from flowlab.parallel import CHUNK_BYTES, DEFAULT_CHUNK, chunk_size
 from flowlab.systems import gradient_brownian_from_embedding
 from flowlab.scenarios import _translation_system
 
@@ -424,13 +424,18 @@ class TestRunPaths:
         assert 0 < truncated < n and s.alive.any(axis=1).all()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 10_000), st.integers(1, 64), st.integers(1, 2 * CHUNK_BYTES))
-    def test_one_chunk_per_worker_within_the_memory_budget(self, n_paths, workers, path_bytes):
-        size = chunk_size(n_paths, workers, path_bytes)
+    @given(st.integers(1, 100_000), st.integers(1, 64),
+           st.integers(1, 2 * CHUNK_BYTES) | st.integers(CHUNK_BYTES // 100_000, CHUNK_BYTES // 512))
+    def test_one_chunk_per_worker_within_the_memory_budget(self, n_paths, workers, noise_bytes):
+        size = chunk_size(n_paths, workers, noise_bytes)
         n_chunks = -(-n_paths // size)
         assert 1 <= size <= n_paths
-        assert size * path_bytes <= CHUNK_BYTES or size == 1
-        if -(-n_paths // workers) * path_bytes <= CHUNK_BYTES:      # under budget
+        # the budget gives way only to keep DEFAULT_CHUNK paths, so the cap
+        # never makes more chunks than a fixed DEFAULT_CHUNK would
+        assert size * noise_bytes <= CHUNK_BYTES or size <= DEFAULT_CHUNK
+        assert n_chunks <= max(min(workers, n_paths), -(-n_paths // DEFAULT_CHUNK))
+        per_worker = -(-n_paths // workers)
+        if per_worker * noise_bytes <= CHUNK_BYTES or per_worker <= DEFAULT_CHUNK:
             # fixed-size chunks cannot always make exactly min(workers, n_paths)
             # (10 paths on 6 workers: 5 chunks of 2), but never make more, and
             # no smaller size keeps to one chunk per worker
@@ -438,3 +443,5 @@ class TestRunPaths:
             assert size == 1 or -(-n_paths // (size - 1)) > workers
             if n_paths % workers == 0 or workers >= n_paths:
                 assert n_chunks == min(workers, n_paths)
+        else:
+            assert size == max(DEFAULT_CHUNK, CHUNK_BYTES // noise_bytes)
