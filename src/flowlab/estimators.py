@@ -16,7 +16,8 @@ Conventions shared by every estimator here:
   * all members of a compact grid ride the same increments per path (common
     noise), which is what sup-over-K quantities require;
   * time integrals are left-endpoint Riemann sums on the step grid and
-    stopping times are resolved to grid points (bias O(dt));
+    stopping times are resolved to grid points, so an exit between two grid
+    points is missed (an exit probability's bias is O(sqrt(dt)));
   * the derivative flow is tracked in log scale through a transported tangent
     frame, so norms never overflow; |T_xF_t| means the operator norm of the
     frame matrix;

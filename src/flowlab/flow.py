@@ -21,14 +21,18 @@ its last finite state; a member that leaves the admissible set (a punctured
 model's exclusion ball) is recorded with its first exit step but keeps moving.
 Exits from a ladder of balls are read off the propagated states by one
 predicate, :func:`outside_balls`: past the radius or exploded.  Stopping times
-are resolved to grid points, a bias of order dt.
+are resolved to grid points; an exit between two grid points goes unseen, so
+an exit probability is biased by order sqrt(dt).
 
 Every Monte Carlo estimate runs its paths through one runner,
 :func:`run_paths`: it checks the starts (:func:`start_points`), gives path k
 the stream stream0 + k (:func:`chunk_paths`), maps one chunk per worker
 (``parallel.chunk_size``) through ``parallel.run_chunks`` and counts a path as
 truncated when any of its members exploded.  A path's numbers do not depend on
-the chunk it runs in, so the chunking never changes a result.
+the chunk it runs in, so the chunking never changes a result.  A chunk's noise
+is a :class:`NoiseSource`: each path's generator stays alive and draws
+``NOISE_BLOCK`` steps at a time, so a chunk holds one block of noise whatever
+its horizon.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ Array = np.ndarray
 
 DEFAULT_EXPLOSION_RADIUS = 1e6
 UNDERFLOW_FLOOR = 1e-300
+
+#: steps of noise a path draws at a time
+NOISE_BLOCK = 32
 
 _U64 = np.uint64
 
@@ -190,8 +197,10 @@ class PathState:
 
 def propagate(stepper: Stepper, x, dW: Array, dt: float, v=None, unit: bool = False):
     """Yield the :class:`PathState` of a batch at step 0 and after every Heun
-    step under the increments dW (n_steps, ..., m), applying the module's
-    explosion and domain-exit policy; dW[k] broadcasts against the batch.
+    step under the increments dW, applying the module's explosion and
+    domain-exit policy.  dW is an array (n_steps, ..., m) or a
+    :class:`NoiseSource`: ``len(dW)`` steps, read in order as ``dW[k]``
+    (..., m), which broadcasts against the batch.
 
     A tangent v shaped like x is stepped with the pair scheme; a v with one
     more axis is a frame (..., r, d) riding its point's noise, stepped with its
@@ -254,35 +263,74 @@ def outside_balls(state: PathState, dist: Array, radii) -> Array:
     return (dist[..., None] > np.asarray(radii)) | ~state.alive[..., None]
 
 
+class NoiseSource:
+    """Forward-only Brownian increments of the Monte Carlo paths ``streams``
+    under a schedule; path ``streams[c]`` draws from ``driver.for_path``.
+
+    Each path's generator stays alive and refills one block of ``block``
+    steps at a time, which gives the numbers of one whole draw bit for bit.
+    ``len(noise)`` is n_steps and ``noise[k]`` is step k as a
+    (C, [1, ...,] m) view, with ``lead`` size-1 axes before m; steps are
+    read in order, and a view is valid until the next block is drawn.
+    """
+
+    def __init__(self, driver: BrownianDriver, streams, sched: StepSchedule, lead: int = 0,
+                 block: int = NOISE_BLOCK):
+        self._draws = [driver.for_path(k).generator().standard_normal for k in streams]
+        self._n = sched.n_steps
+        self._scale = np.sqrt(sched.dt)
+        self._lead = tuple(range(2, lead + 2))
+        self._buf = np.empty((len(self._draws), min(block, self._n), driver.dim))
+        self._lo = self._hi = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def next_block(self) -> Array:
+        """The steps after the last block, time-major (b, C, [1, ...,] m)."""
+        if self._hi == self._n:
+            raise ContractError("the noise source is spent")
+        b = min(self._buf.shape[1], self._n - self._hi)
+        buf = self._buf[:, :b]
+        for row, draw in zip(buf, self._draws):
+            draw(out=row)
+        buf *= self._scale
+        self._lo, self._hi = self._hi, self._hi + b
+        self._steps = np.expand_dims(np.moveaxis(buf, 1, 0), self._lead)
+        return self._steps
+
+    def __getitem__(self, k: int) -> Array:
+        if k == self._hi:
+            self.next_block()
+        elif not self._lo <= k < self._hi:
+            raise ContractError(f"noise step {k} read out of order: the source holds "
+                                f"steps {self._lo}..{self._hi - 1}")
+        return self._steps[k - self._lo]
+
+
 def chunk_paths(driver: BrownianDriver, lo: int, hi: int, sched: StepSchedule, x):
     """Start points (C, d) or (C, G, d) of Monte Carlo paths lo..hi-1 from a
-    point or grid x, and their increments (n_steps, C, m) or (n_steps, C, 1, m).
-    Path k draws from ``driver.for_path(k)`` whatever the chunking; the points
-    of a grid share their path's noise."""
+    point or grid x, and their :class:`NoiseSource`, whose step k is
+    (C, m) or (C, 1, m).  Path k draws from ``driver.for_path(k)`` whatever
+    the chunking; the points of a grid share their path's noise."""
     x = np.asarray(x, dtype=float)
-    dW = np.empty((hi - lo, sched.n_steps, driver.dim))
-    for k in range(lo, hi):
-        driver.for_path(k).generator().standard_normal(out=dW[k - lo])
-    dW *= np.sqrt(sched.dt)
     xs = np.broadcast_to(x, (hi - lo,) + x.shape).copy()
-    return xs, np.expand_dims(np.moveaxis(dW, 1, 0), tuple(range(2, x.ndim + 1)))
+    return xs, NoiseSource(driver, range(lo, hi), sched, lead=x.ndim - 1)
 
 
 def run_paths(system: VectorFieldSystem, x, sched: StepSchedule, n_paths: int, seed: int,
               chunk, stream0: int = 0, workers: int = 1):
     """Run n_paths Monte Carlo paths from the starts x, a point or a grid,
     checked by :func:`start_points` before any chunk.  ``chunk(xs, dW)`` gets
-    one chunk's starts and increments from :func:`chunk_paths` (path k on
-    stream stream0 + k) and returns per-path arrays plus ``alive``, the alive
-    mask of its last state.  Returns the arrays concatenated in path order,
-    with ``alive`` reduced to one flag per path (every member alive), and the
-    number of truncated paths, those with an exploded member.
-
-    Each worker gets one chunk, capped by ``parallel.chunk_size`` for the
-    float64 noise block of its paths."""
+    one chunk's starts and noise source from :func:`chunk_paths` (path k on
+    stream stream0 + k), reads the noise once, in order, and returns per-path
+    arrays plus ``alive``, the alive mask of its last state.  Returns the
+    arrays concatenated in path order, with ``alive`` reduced to one flag per
+    path (every member alive), and the number of truncated paths, those with
+    an exploded member.  Each worker gets one chunk (``parallel.chunk_size``)."""
     x = start_points(system, x)
     driver = BrownianDriver(seed, system.noise_dim, stream=stream0)
-    size = chunk_size(n_paths, workers, 8 * sched.n_steps * system.noise_dim)
+    size = chunk_size(n_paths, workers)
 
     def span(lo, hi):
         out = chunk(*chunk_paths(driver, lo, hi, sched, x))
@@ -346,8 +394,9 @@ def _flow_fields(sched: StepSchedule, states: Array, last: PathState) -> dict:
 def record_trajectory(system: VectorFieldSystem, x: Array, dW: Array, sched: StepSchedule,
                       v=None, r_expl: float = DEFAULT_EXPLOSION_RADIUS) -> FlowResult:
     """Step a batch x (B, d), and its tangents v (B, d) when given, through the
-    increments dW (n_steps, [B,] m) and record the trajectory: a FlowResult,
-    or a direct-mode DerivativeFlowResult when v is given."""
+    increments dW (n_steps, [B,] m), an array or a :class:`NoiseSource`, and
+    record the trajectory: a FlowResult, or a direct-mode
+    DerivativeFlowResult when v is given."""
     x = start_points(system, x)
     states = np.empty((sched.n_steps + 1,) + x.shape)
     vs = None if v is None else np.empty(states.shape)

@@ -6,7 +6,9 @@ Stream ids are assigned by path index, a chunk function computes each path's
 results without reference to the other paths of its chunk, and the
 concatenation order is fixed, so results are bit-identical for any worker
 count and any chunking.  The chunk size is therefore an execution detail:
-:func:`chunk_size` gives each worker one chunk, within a memory budget.
+:func:`chunk_size` gives each worker one chunk.  A chunk's memory does not
+grow with the horizon, since ``flow.NoiseSource`` draws each path's noise a
+block of steps at a time.
 Workers use the fork start method and read the active chunk function from a
 module global, so closures over systems and schedules need no pickling.
 """
@@ -23,9 +25,6 @@ from .errors import ContractError
 #: chunk size of a :func:`run_chunks` call that does not choose one
 DEFAULT_CHUNK = 1024
 
-#: memory budget of one chunk's noise block, in bytes, above DEFAULT_CHUNK paths
-CHUNK_BYTES = 64 * 2 ** 20
-
 _ACTIVE_FN = None
 
 
@@ -39,14 +38,10 @@ def check_paths(n_paths) -> None:
         raise ContractError(f"need a whole number of paths >= 1, got n_paths={n_paths!r}")
 
 
-def chunk_size(n_paths: int, workers: int, noise_bytes: int) -> int:
-    """One chunk per worker, ceil(n_paths / workers) paths, capped so that a
-    chunk's noise, ``noise_bytes`` per path, fits in ``CHUNK_BYTES``.  The
-    cap is never below ``DEFAULT_CHUNK`` paths, so it never makes more chunks
-    than a fixed ``DEFAULT_CHUNK`` would."""
+def chunk_size(n_paths: int, workers: int) -> int:
+    """One chunk per worker: ceil(n_paths / workers) paths."""
     check_paths(n_paths)
-    per_worker = -(-n_paths // max(workers, 1))
-    return min(per_worker, max(DEFAULT_CHUNK, CHUNK_BYTES // max(noise_bytes, 1)))
+    return -(-n_paths // max(workers, 1))
 
 
 def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],

@@ -373,10 +373,14 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     All levels consume aggregated increments of one fine-grid Brownian path
     per path id, so the comparison is pathwise.  Paths whose oracle
     denominator dips below ``filter_threshold`` (singularity-adjacent) are
-    discarded before the first ``n_paths`` survivors are kept.  Returns the
-    per-level RMS terminal errors and the fitted log-log slope.
+    discarded before the first ``n_paths`` survivors are kept.  x0 is
+    checked by ``flow.start_points``.  Each step
+    size in dts must divide the horizon t into a whole number of steps
+    (``flow.schedule_for``), nested in the finest grid, and at least two of
+    them must differ.  Returns the per-level RMS terminal errors and the
+    fitted log-log slope.
     """
-    from .flow import Stepper, chunk_paths
+    from .flow import NOISE_BLOCK, NoiseSource, Stepper, schedule_for, start_points
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
@@ -384,52 +388,58 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
         raise ContractError(f"the convergence study needs a whole number of paths >= 1, "
                             f"got n_paths={n_paths!r}")
     dts = sorted(float(d) for d in dts)
-    n_fine = int(round(t / dts[0]))
-    factors = []
-    for d in dts:
-        steps = int(round(t / d))
-        if abs(steps * d - t) > 1e-9 * max(1.0, t) or n_fine % steps:
-            raise ContractError("step sizes must nest integrally inside the horizon")
-        factors.append(n_fine // steps)
-    x0 = np.asarray(x0, dtype=float)
+    levels = [schedule_for(t, d) for d in dts]
+    if len({lv.n_steps for lv in levels}) < 2:
+        raise ContractError(f"the convergence study fits its slope to at least two distinct "
+                            f"step sizes, got {dts!r}")
+    fine, n_fine = levels[0], levels[0].n_steps
+    if any(n_fine % lv.n_steps for lv in levels):
+        raise ContractError("step sizes must nest integrally inside the horizon")
+    factors = [n_fine // lv.n_steps for lv in levels]
+    x0 = start_points(scenario.system, x0)
     m = scenario.system.noise_dim
     driver = BrownianDriver(seed, m)
 
-    # draw candidates in path order, in blocks of 256, until n_paths survive
-    # the singularity filter; keep only the survivors' increments and end states
-    fine = StepSchedule(dt=dts[0], n_steps=n_fine)
-    kept_dW, kept_T, n_kept = [], [], 0
-    for lo in range(0, max_candidates, 256):
-        if n_kept >= n_paths:
+    # filter candidates in path order, NOISE_BLOCK at a time as whole paths
+    # (the oracle needs them), until n_paths survive; keep only the
+    # survivors' stream ids and end states
+    kept, kept_T = [], []
+    for lo in range(0, max_candidates, NOISE_BLOCK):
+        if len(kept) >= n_paths:
             break
-        _, block = chunk_paths(driver, lo, min(lo + 256, max_candidates), fine, x0)
-        oracle = scenario.oracle(x0, block, dts[0])
+        whole = NoiseSource(driver, range(lo, min(lo + NOISE_BLOCK, max_candidates)), fine,
+                            block=n_fine)
+        oracle = scenario.oracle(x0, whole.next_block(), dts[0])
         keep = ~oracle.singular
         if oracle.min_denominator is not None:
             keep &= oracle.min_denominator > filter_threshold
-        idx = np.nonzero(keep)[0][:n_paths - n_kept]
-        kept_dW.append(block[:, idx])
+        idx = np.nonzero(keep)[0][:n_paths - len(kept)]
+        kept.extend(lo + idx)
         kept_T.append(oracle.states[-1][idx])
-        n_kept += idx.size
-    if n_kept < n_paths:
+    if len(kept) < n_paths:
         raise ContractError("not enough paths survive the singularity filter")
-    dW = np.concatenate(kept_dW, axis=1)
     exact_T = np.concatenate(kept_T)
 
-    # the ladder steps without propagate's freezing on purpose: a diverging
+    # redraw the survivors a block at a time and step every level in
+    # lockstep; a block is a whole number of coarse steps at every level.
+    # The ladder steps without propagate's freezing on purpose: a diverging
     # scheme must show up as a non-finite RMS error, which frozen paths would
     # turn into a finite number
+    nest = int(np.lcm.reduce(factors))
+    block_steps = nest * -(-NOISE_BLOCK // nest)
+    noise = NoiseSource(driver, kept, fine, block=block_steps)
     stepper = Stepper(scenario.system)
-    rms = []
-    for d, f in zip(dts, factors):
-        steps = n_fine // f
-        dWc = dW.reshape(steps, f, n_paths, m).sum(axis=1)
-        x = np.broadcast_to(x0, exact_T.shape).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(steps):
-                x = stepper.step_x(x, dWc[i], d)
-        err = vec_norm(x - exact_T)
-        rms.append(float(np.sqrt(np.mean(err ** 2))))
+    xs = [np.broadcast_to(x0, exact_T.shape).copy() for _ in dts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(-(-n_fine // block_steps)):
+            # a path-major view, summed as such: numpy orders a reduction by
+            # the memory layout (8 or more terms along the shortest stride are
+            # summed pairwise), so the layout is part of the bits
+            block = noise.next_block()                      # (b, n_paths, m)
+            for i, (d, f) in enumerate(zip(dts, factors)):
+                for dB in block.reshape(-1, f, n_paths, m).sum(axis=1):
+                    xs[i] = stepper.step_x(xs[i], dB, d)
+    rms = [float(np.sqrt(np.mean(vec_norm(x - exact_T) ** 2))) for x in xs]
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return {"dts": dts, "rms_errors": rms, "slope": slope,
             "n_paths": int(n_paths), "filter_threshold": filter_threshold,

@@ -130,8 +130,9 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
 
     All ensembles (base, shifted, derivative) consume the same increments per
     path, drawn once per chunk; the base point is stepped once, as the pair
-    run, whose x path is the base flow bit for bit.  The report carries
-    per-epsilon finite differences, the Richardson trend of the discrepancy
+    run, whose x path is the base flow bit for bit.  The pair run and the
+    shifted starts step in lockstep, so both read each step of the noise as
+    it is drawn.  The report carries per-epsilon finite differences, the Richardson trend of the discrepancy
     (slope of log |FD(eps) - rhs| vs log eps, omitted when the discrepancy is
     at floating-point level), and the pass/fail of the 3-sigma consistency
     test at the smallest epsilon.
@@ -144,17 +145,17 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
     sched = schedule_for(t, dt)
     starts = np.stack([x] + [x + e * v for e in eps_ladder])   # (1+E, d)
 
-    def chunk(xs, dW):                                        # (C, 1+E, d), (n, C, 1, m)
+    def chunk(xs, dW):                                        # (C, 1+E, d), steps (C, 1, m)
         stepper = Stepper(system)
-        for s in propagate(stepper, xs[:, 1:], dW, sched.dt):   # the shifted starts
+        xb = xs[:, :1]
+        for s, p in zip(propagate(stepper, xs[:, 1:], dW, sched.dt),     # the shifted starts
+                        propagate(stepper, xb, dW, sched.dt, v=np.broadcast_to(v, xb.shape).copy())):
             pass
-        xb = xs[:, 0, :]
-        for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
-            pass
-        ends = np.concatenate([p.x[:, None], s.x], axis=1)     # (C, 1+E, d)
-        alive = np.concatenate([p.alive[:, None], s.alive], axis=1)
+        ends = np.concatenate([p.x, s.x], axis=1)              # (C, 1+E, d)
+        alive = np.concatenate([p.alive, s.alive], axis=1)
         f_vals = np.where(alive, _observed(obs.f(ends), ends), 0.0)
-        delta = np.where(p.alive, _observed(obs.df(p.x, p.v), p.x), 0.0)
+        xT, vT = p.x[:, 0], p.v[:, 0]
+        delta = np.where(p.alive[:, 0], _observed(obs.df(xT, vT), xT), 0.0)
         return {"f_vals": f_vals, "delta": delta, "alive": alive}
 
     out, trunc = run_paths(system, starts, sched, n_paths, seed, chunk, stream0, workers)

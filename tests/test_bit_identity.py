@@ -1,10 +1,10 @@
 """The fast paths of the flow layer give the bits of the straightforward code
-they stand in for: short-axis sums, compiled spec expressions, chunked noise,
-frame stepping, row-subset frame norms, the finite-batch classification, the
-unmerged all-alive step, the single constant-diffusion evaluation, the
-built-in fields' noise broadcasting, the single base-point run of the
-semigroup check and the log-radial accumulators.  Every comparison is
-bitwise."""
+they stand in for: short-axis sums, compiled spec expressions, block-drawn
+noise, frame stepping, row-subset frame norms, the finite-batch
+classification, the unmerged all-alive step, the single constant-diffusion
+evaluation, the built-in fields' noise broadcasting, the single base-point
+run of the semigroup check and the log-radial accumulators.  Every
+comparison is bitwise."""
 
 import json
 from dataclasses import replace
@@ -20,7 +20,8 @@ from flowlab.estimators import (_log_opnorm, estimate_exponential_functional,
                                 estimate_radial_moment, estimate_stopped_moment,
                                 estimate_sup_derivative_moment)
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
-from flowlab.flow import StepSchedule, Stepper, chunk_paths, propagate, schedule_for
+from flowlab.flow import (NOISE_BLOCK, NoiseSource, StepSchedule, Stepper, chunk_paths, propagate,
+                          schedule_for)
 from flowlab.semigroup import observable
 from flowlab.geometry import sum_last, vec_norm
 from test_flow_regression import SPEC_SYSTEM
@@ -130,21 +131,41 @@ def test_a_constant_exponent_gives_the_same_bits_at_any_batch_shape(seed, expone
 
 
 # ----------------------------------------------------------------------
-# chunked noise
+# block-drawn noise
 # ----------------------------------------------------------------------
+
+#: step counts below, at and above one noise block, and a few blocks
+STEP_COUNTS = st.sampled_from([1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1, 101])
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3), st.integers(0, 50), st.integers(1, 6),
-       st.integers(1, 40), st.sampled_from([1e-3, 0.01, 0.3]), st.integers(1, 2))
+       STEP_COUNTS | st.integers(1, 40), st.sampled_from([1e-3, 0.01, 0.3]), st.integers(1, 2))
 def test_chunk_paths_draws_each_path_from_its_stream(seed, dim, lo, n, n_steps, dt, grid_ndim):
     driver = BrownianDriver(seed, dim, stream=7)
     sched = StepSchedule(dt=dt, n_steps=n_steps)
     x = np.zeros((2, 3) if grid_ndim == 2 else (3,))
     xs, dW = chunk_paths(driver, lo, lo + n, sched, x)
-    assert xs.shape == (n,) + x.shape
-    for k in range(lo, lo + n):
-        want = driver.for_path(k).increments(sched)
-        assert same_bits(dW[:, k - lo].reshape(want.shape), want)
+    assert xs.shape == (n,) + x.shape and len(dW) == n_steps
+    want = [driver.for_path(k).increments(sched) for k in range(lo, lo + n)]
+    for k in range(n_steps):                  # the source read step by step, as propagate reads it
+        assert dW[k].shape == (n,) + (1,) * (grid_ndim - 1) + (dim,)
+        assert same_bits(dW[k].reshape(n, dim), np.stack([w[k] for w in want]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3),
+       st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=6), STEP_COUNTS, st.integers(1, 40))
+def test_a_noise_source_draws_any_streams_in_blocks(seed, dim, streams, n_steps, block):
+    # the oracle study redraws its survivors, an arbitrary list of stream
+    # ids, in blocks of any length: each block continues its path's stream
+    driver = BrownianDriver(seed, dim)
+    sched = StepSchedule(dt=0.01, n_steps=n_steps)
+    noise = NoiseSource(driver, streams, sched, block=block)
+    blocks = [noise.next_block().copy() for _ in range(-(-n_steps // block))]
+    want = np.stack([driver.for_path(k).increments(sched) for k in streams], axis=1)
+    assert all(len(b) == min(block, n_steps) for b in blocks[:-1])
+    assert same_bits(np.concatenate(blocks), want)
 
 
 # ----------------------------------------------------------------------
@@ -357,15 +378,16 @@ def test_builtin_fields_broadcast_the_noise_argument_in_arithmetic(name, seed, l
 
 
 def two_run_chunk(system, obs, x, v, eps_ladder, sched, driver, lo, hi):
-    """The semigroup chunk that steps the base point twice: once x-only as
-    column 0 of the (C, 1+E) batch and once as the pair run."""
+    """The semigroup chunk that steps the base point twice, one run after
+    the other, each on its own draw of the noise: once x-only as column 0 of
+    the (C, 1+E) batch and once as the pair run."""
     starts = np.stack([x] + [x + e * v for e in eps_ladder])
     xs, dW = chunk_paths(driver, lo, hi, sched, starts)
     stepper = Stepper(system)
     for s in propagate(stepper, xs, dW, sched.dt):
         pass
-    xb = xs[:, 0, :]
-    for p in propagate(stepper, xb, dW[:, :, 0], sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
+    xb, dW = chunk_paths(driver, lo, hi, sched, x)
+    for p in propagate(stepper, xb, dW, sched.dt, v=np.broadcast_to(v, xb.shape).copy()):
         pass
     return {"f_vals": np.where(s.alive, np.asarray(obs.f(s.x), dtype=float), 0.0),
             "delta": np.where(p.alive, np.asarray(obs.df(p.x, p.v), dtype=float), 0.0),

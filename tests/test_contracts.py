@@ -32,8 +32,8 @@ from flowlab import (
 from flowlab.criteria import TIE_TOLERANCE, SampleSet
 from flowlab.estimators import _estimate_from_exponents
 from flowlab import flow
-from flowlab.flow import StepSchedule
-from flowlab.parallel import run_chunks
+from flowlab.flow import NoiseSource, StepSchedule
+from flowlab.parallel import chunk_size, run_chunks
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -71,8 +71,68 @@ def test_path_count_is_checked_before_the_chunk_size(n_paths, workers):
     # ContractError, not a raw error from the sizing arithmetic
     ou = builtin("ou(1)")
     with pytest.raises(ContractError):
+        chunk_size(n_paths, workers)
+    with pytest.raises(ContractError):
         estimate_sup_derivative_moment(ou.system, [1.0], 1.0, 0.02, n_paths, seed=0, dt=0.01,
                                        workers=workers)
+
+
+@pytest.mark.parametrize("t, dts", [
+    (0.02, [0.0]),                   # a raw ZeroDivisionError
+    (0.02, [0.0, 1e-3]),
+    (0.02, [math.nan, 1e-3]),        # a raw ValueError from rounding t / nan
+    (math.nan, [4e-3, 1e-3]),
+    (math.inf, [4e-3, 1e-3]),
+    (-0.02, [4e-3, 1e-3]),
+    (0.02, [-4e-3, 1e-3]),
+    (0.02, []),                      # a raw IndexError
+    (0.02, [1e-3]),                  # a slope fitted to one point
+    (0.02, [1e-3, 1e-3]),            # a slope fitted to one point, twice
+    (0.02, [1e-3, 1e-3 * (1 + 1e-12)]),   # two names for one grid
+    (0.02, [0.04, 1e-3]),            # a step longer than the horizon
+    (0.02, [3e-3, 1e-3]),            # does not divide the horizon
+    (0.02, [4e-3, 2.5e-3]),          # divides it, but does not nest in the finest grid
+])
+def test_oracle_study_needs_two_distinct_nested_steps(t, dts):
+    tr = builtin("translation(2)")
+    with pytest.raises(ContractError):
+        oracle_convergence_study(tr, [0.0, 0.0], t, dts, 4, seed=0)
+
+
+def test_oracle_study_checks_its_start():
+    # a one-component start on the plane used to raise a raw IndexError
+    inv = builtin("inversion_plane")
+    for x0 in ([1.0], [1.0, 0.0, 0.0], [math.nan, 0.0]):
+        with pytest.raises(FlowlabError):
+            oracle_convergence_study(inv, x0, 0.02, [4e-3, 1e-3], 4, seed=0)
+
+
+@pytest.mark.parametrize("flags", [["--dts", "0"], ["--dts", "nan,0.001"], ["--dts", "0.001"],
+                                   ["--t", "nan"], ["--x0", "1"]])
+def test_the_oracle_test_command_exits_2_on_a_bad_ladder(tmp_path, capsys, flags):
+    from flowlab import cli
+
+    rc = cli.main(["oracle-test", "--scenario", "translation(2)", "--paths", "4", "--t", "0.02",
+                   *flags, "--out", str(tmp_path)])
+    assert rc == 2 and "flowlab:" in capsys.readouterr().err
+
+
+def test_the_noise_source_is_read_forward():
+    # a step whose block was drawn over would be silently wrong noise
+    noise = NoiseSource(BrownianDriver(3, 2), range(4), StepSchedule(dt=0.1, n_steps=70), block=32)
+    assert noise[0].shape == (4, 2)
+    noise[31], noise[26]             # the steps of the block in hand, in any order
+    with pytest.raises(ContractError):
+        noise[33]                    # skips step 32
+    noise[32]                        # draws the next block, steps 32..63
+    for k in (0, 31, 65, -1):
+        with pytest.raises(ContractError):
+            noise[k]
+    for k in range(33, 70):
+        noise[k]
+    for spent in (lambda: noise[70], noise.next_block):
+        with pytest.raises(ContractError):
+            spent()
 
 
 @settings(max_examples=20, deadline=None)

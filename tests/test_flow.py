@@ -25,7 +25,7 @@ from flowlab import (
 )
 from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory, run_paths
 from flowlab.geometry import sphere_model
-from flowlab.parallel import CHUNK_BYTES, DEFAULT_CHUNK, chunk_size
+from flowlab.parallel import chunk_size
 from flowlab.systems import gradient_brownian_from_embedding
 from flowlab.scenarios import _translation_system
 
@@ -355,6 +355,7 @@ class TestCallCounts:
             pass
         assert len(calls) == sched.n_steps and not jac_calls
         calls.clear()
+        x, dW = chunk_paths(BrownianDriver(4, 2), 0, 8, sched, np.array([0.5, -0.5]))
         for _ in propagate(Stepper(system), x, dW, sched.dt, v=np.ones_like(x)):
             pass
         assert len(calls) == len(jac_calls) == sched.n_steps
@@ -374,11 +375,13 @@ class TestCallCounts:
     def test_the_semigroup_chunk_runs_the_base_point_once_as_the_pair(self, monkeypatch):
         import flowlab.semigroup as semigroup
 
-        runs = []
+        runs, steps = [], []
 
         def recording_propagate(stepper, x, dW, dt, v=None, unit=False):
             runs.append((np.array(x), v is not None))
-            return propagate(stepper, x, dW, dt, v=v, unit=unit)
+            for s in propagate(stepper, x, dW, dt, v=v, unit=unit):
+                steps.append((v is not None, s.k))
+                yield s
         monkeypatch.setattr(semigroup, "propagate", recording_propagate)
         system = builtin("ou(1)").system
         obs = semigroup.observable(lambda x: np.sin(x[..., 0]), lambda x, v: np.cos(x[..., 0]) * v[..., 0])
@@ -388,9 +391,13 @@ class TestCallCounts:
             if size is not None:
                 monkeypatch.setattr(flow, "chunk_size", lambda *args: size)
             runs.clear()
+            steps.clear()
             semigroup.gradient_consistency_check(system, obs, x0, [1.0], t=0.05, n_paths=1500, seed=2,
                                                  dt=1e-2, eps_ladder=[0.1, 0.01])
             assert len(runs) == 2 * n_chunks            # one x-only and one pair run per chunk
+            # in lockstep: each step of the x-only run is followed by that of the pair run
+            assert steps == [(paired, k) for _ in range(n_chunks) for k in range(6)
+                             for paired in (False, True)]
             pairs = [x for x, paired in runs if paired]
             x_only = [x for x, paired in runs if not paired]
             assert len(pairs) == len(x_only) == n_chunks
@@ -424,24 +431,15 @@ class TestRunPaths:
         assert 0 < truncated < n and s.alive.any(axis=1).all()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 100_000), st.integers(1, 64),
-           st.integers(1, 2 * CHUNK_BYTES) | st.integers(CHUNK_BYTES // 100_000, CHUNK_BYTES // 512))
-    def test_one_chunk_per_worker_within_the_memory_budget(self, n_paths, workers, noise_bytes):
-        size = chunk_size(n_paths, workers, noise_bytes)
+    @given(st.integers(1, 100_000), st.integers(1, 64))
+    def test_one_chunk_per_worker(self, n_paths, workers):
+        size = chunk_size(n_paths, workers)
         n_chunks = -(-n_paths // size)
         assert 1 <= size <= n_paths
-        # the budget gives way only to keep DEFAULT_CHUNK paths, so the cap
-        # never makes more chunks than a fixed DEFAULT_CHUNK would
-        assert size * noise_bytes <= CHUNK_BYTES or size <= DEFAULT_CHUNK
-        assert n_chunks <= max(min(workers, n_paths), -(-n_paths // DEFAULT_CHUNK))
-        per_worker = -(-n_paths // workers)
-        if per_worker * noise_bytes <= CHUNK_BYTES or per_worker <= DEFAULT_CHUNK:
-            # fixed-size chunks cannot always make exactly min(workers, n_paths)
-            # (10 paths on 6 workers: 5 chunks of 2), but never make more, and
-            # no smaller size keeps to one chunk per worker
-            assert n_chunks <= min(workers, n_paths)
-            assert size == 1 or -(-n_paths // (size - 1)) > workers
-            if n_paths % workers == 0 or workers >= n_paths:
-                assert n_chunks == min(workers, n_paths)
-        else:
-            assert size == max(DEFAULT_CHUNK, CHUNK_BYTES // noise_bytes)
+        # fixed-size chunks cannot always make exactly min(workers, n_paths)
+        # (10 paths on 6 workers: 5 chunks of 2), but never make more, and
+        # no smaller size keeps to one chunk per worker
+        assert n_chunks <= min(workers, n_paths)
+        assert size == 1 or -(-n_paths // (size - 1)) > workers
+        if n_paths % workers == 0 or workers >= n_paths:
+            assert n_chunks == min(workers, n_paths)
