@@ -183,17 +183,38 @@ def _check_p(p: float) -> None:
         raise ContractError(f"p must be finite and positive, got {p!r}")
 
 
+def _top_eigenvalue(a: Array, b: Array, c: Array) -> Array:
+    """Top eigenvalue of the symmetric 2x2 matrices [[a, b], [b, c]] with
+    a + c >= 0, by the steps ``np.linalg.eigvalsh`` takes for them in
+    reference LAPACK (dsterf: its two tests for a negligible b, then dlae2),
+    so that a Gram matrix whose entries stay near 1 gets eigvalsh's bits."""
+    eps = np.finfo(float).eps / 2
+    adf, ab = np.abs(a - c), np.abs(b + b)
+    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    with np.errstate(invalid="ignore"):
+        rt = np.where(big > 0, big * np.sqrt(1.0 + np.square(small / big)), 0.0)
+    split = (np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * eps) \
+        | (np.square(b) <= eps * eps * np.abs(a * c))
+    return np.where(split, np.maximum(a, c), 0.5 * ((a + c) + rt))
+
+
 def _log_opnorm(L: Array, U: Array) -> Array:
     """log operator norm of the frame with log-lengths L (..., k) and unit
-    directions U (..., k, d); overflow-safe via the shifted Gram matrix."""
+    directions U (..., k, d); overflow-safe via the shifted Gram matrix,
+    whose top eigenvalue is taken in closed form for k = 2."""
     k = L.shape[-1]
     if k == 1:
         return L[..., 0]
     Lm = L.max(axis=-1, keepdims=True)
     s = np.exp(L - Lm)
     W = s[..., None] * U
-    G = np.einsum("...ki,...li->...kl", W, W)
-    lam = np.linalg.eigvalsh(G)[..., -1]
+    if k == 2:
+        # one einsum per entry sums in the order of the full Gram einsum
+        w0, w1 = W[..., 0, :], W[..., 1, :]
+        lam = _top_eigenvalue(*(np.einsum("...i,...i->...", p, q)
+                                for p, q in ((w0, w0), (w0, w1), (w1, w1))))
+    else:
+        lam = np.linalg.eigvalsh(np.einsum("...ki,...li->...kl", W, W))[..., -1]
     return Lm[..., 0] + 0.5 * np.log(np.maximum(lam, 1e-300))
 
 

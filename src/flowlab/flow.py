@@ -30,14 +30,15 @@ the stream stream0 + k (:func:`chunk_paths`), maps one chunk per worker
 (``parallel.chunk_size``) through ``parallel.run_chunks`` and counts a path as
 truncated when any of its members exploded.  A path's numbers do not depend on
 the chunk it runs in, so the chunking never changes a result.  A chunk's noise
-is a :class:`NoiseSource`: each path's generator stays alive and draws
-``NOISE_BLOCK`` steps at a time, so a chunk holds one block of noise whatever
-its horizon.
+is a :class:`NoiseSource`: each path's generator stays alive and refills as
+many steps as fit in ``NOISE_BYTES`` for the whole chunk, never fewer than
+``NOISE_BLOCK``, so a chunk holds one refill of noise whatever its horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -52,8 +53,10 @@ Array = np.ndarray
 DEFAULT_EXPLOSION_RADIUS = 1e6
 UNDERFLOW_FLOOR = 1e-300
 
-#: steps of noise a path draws at a time
+#: the fewest steps of noise a path draws at a time
 NOISE_BLOCK = 32
+#: bytes of noise a source refills at a time, when that is NOISE_BLOCK steps or more
+NOISE_BYTES = 2 * 2 ** 20
 
 _U64 = np.uint64
 
@@ -89,6 +92,30 @@ def schedule_for(t: float, dt: float) -> StepSchedule:
     return StepSchedule(dt=dt, n_steps=n)
 
 
+@cache
+def _key_seed_type() -> type:
+    """The seed sequence of a keyed Philox.  ``Philox(key=k)`` first fills a
+    ``SeedSequence`` from OS entropy, then sets the key k; a Philox seeded by
+    this type asks it once for its state, ``generate_state(2, uint64)``, and
+    gets k = [seed, stream], so the generator starts in the same state.  Made
+    on first use, since numpy.random is not imported until noise is drawn;
+    registered rather than subclassed, so that it can be slotted: every live
+    generator keeps its seed sequence."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    @ISeedSequence.register
+    class KeySeed:
+        __slots__ = ("seed", "stream")
+
+        def __init__(self, seed: int, stream: int):
+            self.seed, self.stream = seed, stream
+
+        def generate_state(self, n_words, dtype=np.uint32) -> Array:
+            return np.array([self.seed, self.stream], dtype=_U64)
+
+    return KeySeed
+
+
 class BrownianDriver:
     """Counter-based Brownian increment source (Philox keyed streams).
 
@@ -103,8 +130,9 @@ class BrownianDriver:
         self.dim = int(dim)
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=_U64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """The path's generator: ``Philox(key=[seed, stream])``, built from a
+        :func:`_key_seed_type` so that no OS entropy is drawn and thrown away."""
+        return np.random.Generator(np.random.Philox(_key_seed_type()(self.seed, self.stream)))
 
     def increments(self, sched: StepSchedule) -> Array:
         """Gaussian increments with variance dt, shape (n_steps, dim)."""
@@ -263,37 +291,46 @@ def outside_balls(state: PathState, dist: Array, radii) -> Array:
     return (dist[..., None] > np.asarray(radii)) | ~state.alive[..., None]
 
 
+def refill_steps(n_paths: int, dim: int) -> int:
+    """Steps a source of n_paths paths with dim noise columns refills at a
+    time: as many as fit in ``NOISE_BYTES``, never fewer than ``NOISE_BLOCK``."""
+    return max(NOISE_BLOCK, NOISE_BYTES // (8 * max(1, n_paths * dim)))
+
+
 class NoiseSource:
     """Forward-only Brownian increments of the Monte Carlo paths ``streams``
     under a schedule; path ``streams[c]`` draws from ``driver.for_path``.
 
-    Each path's generator stays alive and refills one block of ``block``
-    steps at a time, which gives the numbers of one whole draw bit for bit.
-    ``len(noise)`` is n_steps and ``noise[k]`` is step k as a
-    (C, [1, ...,] m) view, with ``lead`` size-1 axes before m; steps are
-    read in order, and a view is valid until the next block is drawn.
+    Each path's generator stays alive and refills ``block`` steps at a time,
+    by default :func:`refill_steps` (one draw call per path per refill), which
+    gives the numbers of one whole draw bit for bit.  ``len(noise)`` is
+    n_steps and ``noise[k]`` is step k as a (C, [1, ...,] m) view, with
+    ``lead`` size-1 axes before m; steps are read in order, and a view is
+    valid until the next refill.
     """
 
     def __init__(self, driver: BrownianDriver, streams, sched: StepSchedule, lead: int = 0,
-                 block: int = NOISE_BLOCK):
-        self._draws = [driver.for_path(k).generator().standard_normal for k in streams]
+                 block: Optional[int] = None):
+        self._gens = [driver.for_path(k).generator() for k in streams]
         self._n = sched.n_steps
         self._scale = np.sqrt(sched.dt)
         self._lead = tuple(range(2, lead + 2))
-        self._buf = np.empty((len(self._draws), min(block, self._n), driver.dim))
+        if block is None:
+            block = refill_steps(len(self._gens), driver.dim)
+        self._buf = np.empty((len(self._gens), min(block, self._n), driver.dim))
         self._lo = self._hi = 0
 
     def __len__(self) -> int:
         return self._n
 
     def next_block(self) -> Array:
-        """The steps after the last block, time-major (b, C, [1, ...,] m)."""
+        """The steps after the last refill, time-major (b, C, [1, ...,] m)."""
         if self._hi == self._n:
             raise ContractError("the noise source is spent")
         b = min(self._buf.shape[1], self._n - self._hi)
         buf = self._buf[:, :b]
-        for row, draw in zip(buf, self._draws):
-            draw(out=row)
+        for row, gen in zip(buf, self._gens):
+            gen.standard_normal(out=row)
         buf *= self._scale
         self._lo, self._hi = self._hi, self._hi + b
         self._steps = np.expand_dims(np.moveaxis(buf, 1, 0), self._lead)

@@ -378,9 +378,11 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     size in dts must divide the horizon t into a whole number of steps
     (``flow.schedule_for``), nested in the finest grid, and at least two of
     them must differ.  Returns the per-level RMS terminal errors and the
-    fitted log-log slope.
+    fitted log-log slope, None when an error is at floating-point level
+    (1e-13 of 1 + the RMS size of the exact end states), as for an exact
+    scheme or a fixed point.
     """
-    from .flow import NOISE_BLOCK, NoiseSource, Stepper, schedule_for, start_points
+    from .flow import NOISE_BLOCK, NoiseSource, Stepper, refill_steps, schedule_for, start_points
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
@@ -421,12 +423,13 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     exact_T = np.concatenate(kept_T)
 
     # redraw the survivors a block at a time and step every level in
-    # lockstep; a block is a whole number of coarse steps at every level.
+    # lockstep; a block is the source's refill rounded down to a whole
+    # number of coarse steps at every level, and at least NOISE_BLOCK steps.
     # The ladder steps without propagate's freezing on purpose: a diverging
     # scheme must show up as a non-finite RMS error, which frozen paths would
     # turn into a finite number
     nest = int(np.lcm.reduce(factors))
-    block_steps = nest * -(-NOISE_BLOCK // nest)
+    block_steps = nest * max(refill_steps(n_paths, m) // nest, -(-NOISE_BLOCK // nest))
     noise = NoiseSource(driver, kept, fine, block=block_steps)
     stepper = Stepper(scenario.system)
     xs = [np.broadcast_to(x0, exact_T.shape).copy() for _ in dts]
@@ -440,7 +443,10 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
                 for dB in block.reshape(-1, f, n_paths, m).sum(axis=1):
                     xs[i] = stepper.step_x(xs[i], dB, d)
     rms = [float(np.sqrt(np.mean(vec_norm(x - exact_T) ** 2))) for x in xs]
-    slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
+    scale = 1.0 + float(np.sqrt(np.mean(vec_norm(exact_T) ** 2)))
+    slope = None
+    if not any(e <= 1e-13 * scale for e in rms):
+        slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return {"dts": dts, "rms_errors": rms, "slope": slope,
             "n_paths": int(n_paths), "filter_threshold": filter_threshold,
             "seed": seed, "t": t}

@@ -4,7 +4,8 @@ noise, frame stepping, row-subset frame norms, the finite-batch
 classification, the unmerged all-alive step, the single constant-diffusion
 evaluation, the built-in fields' noise broadcasting, the single base-point
 run of the semigroup check and the log-radial accumulators.  Every
-comparison is bitwise."""
+comparison is bitwise, but the closed-form top eigenvalue of a two-column
+frame, which is held to eigvalsh within a few ulp."""
 
 import json
 from dataclasses import replace
@@ -14,14 +15,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flowlab import (BrownianDriver, CurvatureData, builtin, flow, integrate_derivative_flow,
-                     load_system, semigroup)
-from flowlab.estimators import (_log_opnorm, estimate_exponential_functional,
+                     load_system, oracle_convergence_study, semigroup)
+from flowlab.estimators import (_log_opnorm, _top_eigenvalue, estimate_exponential_functional,
                                 estimate_girsanov_one_completeness, estimate_moment_exponent,
                                 estimate_radial_moment, estimate_stopped_moment,
                                 estimate_sup_derivative_moment)
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
-from flowlab.flow import (NOISE_BLOCK, NoiseSource, StepSchedule, Stepper, chunk_paths, propagate,
-                          schedule_for)
+from flowlab.flow import (NOISE_BLOCK, NOISE_BYTES, NoiseSource, StepSchedule, Stepper, chunk_paths,
+                          propagate, refill_steps, schedule_for)
 from flowlab.semigroup import observable
 from flowlab.geometry import sum_last, vec_norm
 from test_flow_regression import SPEC_SYSTEM
@@ -168,6 +169,70 @@ def test_a_noise_source_draws_any_streams_in_blocks(seed, dim, streams, n_steps,
     assert same_bits(np.concatenate(blocks), want)
 
 
+#: seeds and streams at the ends and the middle of the 64-bit key words
+KEY_WORDS = st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(KEY_WORDS, KEY_WORDS)
+def test_the_key_seeded_generator_is_philox_keyed(seed, stream):
+    got = BrownianDriver(seed, 2, stream=stream).generator()
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    gs, ws = got.bit_generator.state, want.bit_generator.state
+    assert gs["bit_generator"] == ws["bit_generator"] == "Philox"
+    for part in ("counter", "key"):
+        assert np.array_equal(gs["state"][part], ws["state"][part])
+    assert all(np.array_equal(gs[k], ws[k]) for k in ("buffer", "buffer_pos", "has_uint32", "uinteger"))
+    assert same_bits(got.standard_normal(97), want.standard_normal(97))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 7, 300, 2048, 10_000]), st.integers(1, 3), STEP_COUNTS | st.integers(1, 3000))
+def test_a_refill_is_a_block_or_more_and_holds_at_most_the_noise_budget(C, m, n_steps):
+    noise = NoiseSource(BrownianDriver(5, m), range(C), StepSchedule(dt=0.01, n_steps=n_steps))
+    block = noise.next_block()
+    b = refill_steps(C, m)
+    assert b >= NOISE_BLOCK and len(block) == min(b, n_steps)
+    assert block.nbytes <= max(NOISE_BYTES, C * NOISE_BLOCK * m * 8)
+    if n_steps >= b and C * NOISE_BLOCK * m * 8 <= NOISE_BYTES:
+        assert block.nbytes > NOISE_BYTES // 2     # the budget is used, not just the floor
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.sampled_from([(512, 2, 600), (1000, 1, 700), (300, 3, 500)]))
+def test_default_refills_give_one_whole_draw(seed, shape):
+    # refills of 256, 262 and 291 steps, none of which divides its horizon
+    C, m, n_steps = shape
+    assert n_steps % refill_steps(C, m) and n_steps > refill_steps(C, m)
+    driver = BrownianDriver(seed, m)
+    sched = StepSchedule(dt=0.01, n_steps=n_steps)
+    noise = NoiseSource(driver, range(C), sched)
+    got = np.stack([noise[k].copy() for k in range(n_steps)])   # a view lives until the next refill
+    want = np.stack([driver.for_path(k).increments(sched) for k in range(C)], axis=1)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("dts, n_paths", [([4e-3, 1e-3, 2.5e-4], 256), ([0.03, 0.04, 1e-3], 40),
+                                          ([0.02, 1e-4], 3)])
+def test_the_survivor_source_refills_whole_coarse_steps(monkeypatch, dts, n_paths):
+    blocks = []
+
+    class Recording(NoiseSource):
+        def __init__(self, *args, block=None, **kw):
+            blocks.append(block)
+            super().__init__(*args, block=block, **kw)
+    monkeypatch.setattr(flow, "NoiseSource", Recording)
+    t = 0.12
+    res = oracle_convergence_study(builtin("inversion_plane"), [0.5, 0.0], t, dts, n_paths, seed=2)
+    fine = round(t / min(dts))
+    nest = int(np.lcm.reduce([fine // round(t / d) for d in dts]))
+    survivors = blocks[-1]
+    assert survivors % nest == 0 and survivors >= NOISE_BLOCK
+    assert survivors <= max(refill_steps(n_paths, 2), nest * -(-NOISE_BLOCK // nest))
+    assert all(b == fine for b in blocks[:-1])                 # candidates are drawn whole
+    assert len(res["rms_errors"]) == len(dts)
+
+
 # ----------------------------------------------------------------------
 # frame stepping
 # ----------------------------------------------------------------------
@@ -220,6 +285,62 @@ def test_log_opnorm_of_a_row_subset_is_the_subset_of_the_stack(kd, seed, C, G):
     assume(rows.size < C)
     assert same_bits(_log_opnorm(L[rows], U[rows]), _log_opnorm(L, U)[rows])
     assert same_bits(_log_opnorm(L[slice(None)], U[slice(None)]), _log_opnorm(L, U))
+
+
+def eigvalsh_log_opnorm(L, U):
+    """The log operator norm by the full Gram matrix and eigvalsh."""
+    Lm = L.max(axis=-1, keepdims=True)
+    W = np.exp(L - Lm)[..., None] * U
+    lam = np.linalg.eigvalsh(np.einsum("...ki,...li->...kl", W, W))[..., -1]
+    return Lm[..., 0] + 0.5 * np.log(np.maximum(lam, 1e-300))
+
+
+@st.composite
+def frames(draw, k):
+    """(L, U) of C frames of k columns in dimension d: log-lengths in +-700,
+    unit columns, with equal lengths and parallel, antiparallel, nearly
+    parallel and zero-length columns mixed in."""
+    C, d = draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L = np.array(draw(st.lists(st.floats(-700.0, 700.0) | st.sampled_from([0.0, -700.0, 700.0]),
+                               min_size=C * k, max_size=C * k))).reshape(C, k)
+    U = rng.standard_normal((C, k, d))
+    U /= vec_norm(U)[..., None]
+    kinds = ["free", "zero", "all zero"] + (["parallel", "antiparallel", "near", "equal"] if k > 1 else [])
+    for c in range(C):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("parallel", "antiparallel"):
+            U[c, 1] = U[c, 0] if kind == "parallel" else -U[c, 0]
+        elif kind == "near":
+            U[c, 1] = U[c, 0] + 1e-9 * rng.standard_normal(d)
+            U[c, 1] /= vec_norm(U[c, 1])
+        elif kind == "equal":
+            L[c, 1] = L[c, 0]
+        elif kind == "zero":
+            U[c, draw(st.integers(0, k - 1))] = 0.0
+        elif kind == "all zero":
+            U[c] = 0.0
+    return L, U
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames(2))
+def test_the_two_column_top_eigenvalue_is_eigvalsh_to_a_few_ulp(frame):
+    L, U = frame
+    W = np.exp(L - L.max(axis=-1, keepdims=True))[..., None] * U
+    G = np.einsum("...ki,...li->...kl", W, W)
+    want = np.linalg.eigvalsh(G)[..., -1]
+    got = _top_eigenvalue(G[..., 0, 0], G[..., 0, 1], G[..., 1, 1])
+    assert (np.abs(got - want) <= 4 * np.spacing(want)).all(), (got, want)
+    assert np.allclose(_log_opnorm(L, U), eigvalsh_log_opnorm(L, U), rtol=1e-15, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3]).flatmap(frames))
+def test_one_and_three_column_frames_keep_their_bits(frame):
+    L, U = frame
+    want = L[..., 0] if L.shape[-1] == 1 else eigvalsh_log_opnorm(L, U)
+    assert same_bits(_log_opnorm(L, U), want)
 
 
 # ----------------------------------------------------------------------

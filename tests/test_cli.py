@@ -206,3 +206,16 @@ class TestReports:
         rep = json.loads((out / "oracle-test.json").read_text())
         assert rep["results"]["slope"] >= 0.4
         assert len(rep["results"]["rms_errors"]) == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "translation(2)", "--paths", "20", "--t", "0.1"],   # an exact scheme
+        ["--scenario", "inversion_plane", "--x0", "0,0", "--paths", "20", "--t", "0.1"],  # a fixed point
+    ])
+    def test_oracle_test_fits_no_slope_to_float_level_errors(self, tmp_path, flags):
+        out = tmp_path / "oc"
+        proc = run_cli(["oracle-test", *flags, "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+        res = json.loads((out / "oracle-test.json").read_text())["results"]
+        assert res["slope"] is None
+        assert len(res["rms_errors"]) == 3 and max(res["rms_errors"]) < 1e-13
