@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import qmc
 from .errors import CapabilityError, ContractError
 from .geometry import (
     CurvatureData,
@@ -67,20 +68,35 @@ ISOMETRY_TOL = 1e-6
 # deterministic sample sets
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _check_count(name: str, value) -> None:
+    """``ContractError`` unless value is a whole number >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ContractError(f"need a whole number >= 1 for {name}, got {value!r}")
+
+
 def direction_sample(dim: int, n: int) -> Array:
     """n unit directions in R^dim from an unscrambled Sobol set (deterministic).
 
-    Cached by ``(dim, n)``; the array is read-only.  scipy is imported on the
-    first call, so ``import flowlab`` does not load it.
+    Cached by ``(dim, n)``; the array is read-only.  The points come from
+    ``flowlab.qmc`` (Joe-Kuo direction numbers, Gray-code order, Cephes
+    ndtri), read on the first call for each ``(dim, n)``.  ``ContractError``
+    unless dim and n are whole numbers >= 1; ``CapabilityError`` beyond the
+    table's 21,201 dimensions.
     """
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+    _check_count("the dimension", dim)
+    _check_count("the number of directions", n)
+    if dim > qmc.MAX_DIM:
+        raise CapabilityError(f"Sobol directions go up to dimension {qmc.MAX_DIM}, got {dim}")
+    return _direction_sample(int(dim), int(n))
 
-    eng = qmc.Sobol(d=dim, scramble=False)
+
+@lru_cache(maxsize=None)
+def _direction_sample(dim: int, n: int) -> Array:
     m = int(np.ceil(np.log2(2 * n + 8)))
-    pts = eng.random_base2(m)[1:]  # drop the all-zeros point
-    g = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
+    if m > qmc.BITS:
+        raise CapabilityError(f"the Sobol sequence has 2^{qmc.BITS} points, too few for {n} directions")
+    pts = qmc.sobol_points(dim, m)[1:]  # drop the all-zeros point
+    g = qmc.ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
     nz = vec_norm(g) > 1e-9
     g = g[nz][:n]
     out = g / vec_norm(g)[..., None]
@@ -516,6 +532,7 @@ def check_growth(system: VectorFieldSystem, kind: str,
     """
     if kind not in _GROWTH_KINDS:
         raise ContractError(f"unknown growth profile kind {kind!r}")
+    _check_count("n_directions", n_directions)
     S = SampleSet.build(system.model, radii, n_directions)
     conds = _GROWTH_KINDS[kind](system, S, epsilon=epsilon, p=p, curvature=curvature)
     return GrowthProfile(kind=kind, conditions=conds, radii=[float(r) for r in radii],
@@ -675,6 +692,7 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     not applicable there; the rescaled metric carries no connection, so the
     derivative-form conditions are not applicable either.
     """
+    _check_count("n_directions", config.n_directions)
     model = system.model
     entries: List[TheoremVerdict] = []
     for theorem in config.theorems:

@@ -3,16 +3,17 @@ they stand in for: short-axis sums, compiled spec expressions, block-drawn
 noise, frame stepping, row-subset frame norms, the finite-batch
 classification, the unmerged all-alive step, the single constant-diffusion
 evaluation, the built-in fields' noise broadcasting, the single base-point
-run of the semigroup check and the log-radial accumulators.  Every
-comparison is bitwise, but the closed-form top eigenvalue of a two-column
-frame, which is held to eigvalsh within a few ulp."""
+run of the semigroup check, the log-radial accumulators, and the Sobol
+directions and normal quantile of ``flowlab.qmc`` against scipy's (imported
+here only).  Every comparison is bitwise, but the closed-form top eigenvalue
+of a two-column frame, which is held to eigvalsh within a few ulp."""
 
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flowlab import (BrownianDriver, CurvatureData, builtin, flow, integrate_derivative_flow,
                      load_system, oracle_convergence_study, semigroup)
@@ -20,9 +21,11 @@ from flowlab.estimators import (_log_opnorm, _top_eigenvalue, estimate_exponenti
                                 estimate_girsanov_one_completeness, estimate_moment_exponent,
                                 estimate_radial_moment, estimate_stopped_moment,
                                 estimate_sup_derivative_moment)
+from flowlab.criteria import direction_sample
 from flowlab.expressions import _FUNCS, _Parser, _tokenize, compile_expression
 from flowlab.flow import (NOISE_BLOCK, NOISE_BYTES, NoiseSource, StepSchedule, Stepper, chunk_paths,
                           propagate, refill_steps, schedule_for)
+from flowlab.qmc import ndtri, sobol_points
 from flowlab.semigroup import observable
 from flowlab.geometry import sum_last, vec_norm
 from test_flow_regression import SPEC_SYSTEM
@@ -641,3 +644,76 @@ def test_any_chunking_gives_the_same_bytes(monkeypatch, name):
 def test_the_chunking_cases_cover_the_ten_entry_points():
     cannot = set.intersection(*(case[-1] for case in CHUNKING_CASES.values()))
     assert not cannot
+
+
+# ----------------------------------------------------------------------
+# Sobol directions and the normal quantile, against scipy
+# ----------------------------------------------------------------------
+
+def scipy_direction_sample(dim, n):
+    """The scipy construction direction_sample replaced, verbatim."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    eng = qmc.Sobol(d=dim, scramble=False)
+    m = int(np.ceil(np.log2(2 * n + 8)))
+    pts = eng.random_base2(m)[1:]  # drop the all-zeros point
+    g = ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
+    nz = vec_norm(g) > 1e-9
+    g = g[nz][:n]
+    out = g / vec_norm(g)[..., None]
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("dim", range(1, 41))
+def test_sobol_points_are_scipys(dim):
+    from scipy.stats import qmc
+
+    for m in (1, 2, 3, 5, 8, 11):
+        assert same_bits(sobol_points(dim, m), qmc.Sobol(dim, scramble=False).random_base2(m))
+
+
+@pytest.mark.parametrize("dim", range(1, 65))
+def test_direction_sample_is_the_scipy_construction(dim):
+    for n in (1, 4, 8, 32, 100, 1000):
+        assert same_bits(direction_sample(dim, n), scipy_direction_sample(dim, n)), n
+
+
+@pytest.mark.parametrize("dim", [1111, 5000, 21201])
+def test_direction_sample_is_the_scipy_construction_in_high_dimensions(dim):
+    for n in (1, 4, 8):
+        assert same_bits(direction_sample(dim, n), scipy_direction_sample(dim, n)), n
+
+
+def _next(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+# either side of exp(-2), where the tails start (and of its mirror 1 - exp(-2)),
+# and of exp(-32), where the tail switches from P1/Q1 to P2/Q2 (x = 8)
+SWITCHES = [0.13533528323661269189, 1.0 - 0.13533528323661269189, 1.2664165549094176e-14]
+EXPLICIT_QUANTILES = [0.5, 1e-12, 1.0 - 1e-12, 1e-300, 5e-324, _next(1.0, 0.0)] + [
+    _next(s, d) for s in SWITCHES for d in (0.0, 1.0)] + SWITCHES
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=40))
+@example(EXPLICIT_QUANTILES)
+def test_ndtri_is_scipys(p):
+    from scipy.special import ndtri as scipy_ndtri
+
+    p = np.array(p)
+    assert same_bits(ndtri(p), scipy_ndtri(p))
+    assert all(same_bits(ndtri(q), scipy_ndtri(q)) for q in p[:5])
+
+
+def test_ndtri_ends_are_scipys():
+    from scipy.special import ndtri as scipy_ndtri
+
+    # values bitwise; a nan is a nan whatever its sign bit
+    p = np.array([0.0, 1.0, -0.0, -1e-300, 1.5, np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        got, want = ndtri(p), scipy_ndtri(p)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert same_bits(got[~np.isnan(got)], want[~np.isnan(want)])

@@ -10,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from flowlab import (
     BrownianDriver,
+    CapabilityError,
+    CertifyConfig,
     ContractError,
     CurvatureData,
     FlowlabError,
     builtin,
+    certify,
+    check_growth,
     estimate_Ptf,
     estimate_deltaPt,
     estimate_exponential_functional,
@@ -29,7 +33,7 @@ from flowlab import (
     oracle_convergence_study,
     schedule_for,
 )
-from flowlab.criteria import TIE_TOLERANCE, SampleSet
+from flowlab.criteria import TIE_TOLERANCE, SampleSet, direction_sample
 from flowlab.estimators import _estimate_from_exponents
 from flowlab import flow
 from flowlab.flow import NoiseSource, StepSchedule
@@ -483,3 +487,40 @@ def test_worst_point_is_the_first_near_tie_in_band_order(bands, data):
                                        for q in ratio]))
     assert again.worst_point == check.worst_point
 
+
+BAD_COUNTS = [0, -3, 2.5, 2.0, True, False, "3", None, np.float64(4.0)]
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_certify_needs_a_whole_number_of_directions(n):
+    # 0 and -3 used to raise a raw ValueError from an empty max, 2.5 a raw
+    # TypeError, and True ran as one direction
+    system = builtin("kunita").system
+    with pytest.raises(ContractError):
+        certify(system, CertifyConfig(theorems=("Cor5.2",), n_directions=n))
+    with pytest.raises(ContractError):
+        check_growth(system, "linear_growth", n_directions=n)
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_direction_sample_needs_whole_numbers(bad):
+    # (0, 4) used to return a (0, 0) array; True must not hit the cached (1, n)
+    direction_sample(1, 4)
+    direction_sample(2, 1)
+    with pytest.raises(ContractError):
+        direction_sample(bad, 4)
+    with pytest.raises(ContractError):
+        direction_sample(2, bad)
+
+
+def test_direction_sample_takes_numpy_integers():
+    assert direction_sample(np.int64(3), np.int32(8)) is direction_sample(3, 8)
+
+
+def test_direction_sample_stops_at_the_table():
+    # scipy used to raise a raw ValueError past its 21,201 dimensions
+    assert direction_sample(21201, 1).shape == (1, 21201)
+    with pytest.raises(CapabilityError):
+        direction_sample(21202, 4)
+    with pytest.raises(CapabilityError):      # 2^31 points; the sequence has 2^30
+        direction_sample(2, 2 ** 29)

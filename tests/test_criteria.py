@@ -318,15 +318,19 @@ def test_direction_sample_is_cached_and_read_only():
         dirs[0, 0] = 1.0
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is most of the import time; only direction_sample needs it
+def test_import_leaves_scipy_stats_out(tmp_path):
+    # directions are built in flowlab.qmc: importing the CLI and running the
+    # two commands that sample directions loads no scipy module at all
     env = dict(os.environ)
     src = str(Path(flowlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, flowlab\n"
-            "assert 'scipy.stats' not in sys.modules, 'imported by flowlab'\n"
-            "flowlab.criteria.direction_sample(2, 4)\n"
-            "assert 'scipy.stats' in sys.modules\n")
+    code = ("import sys, flowlab.cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert flowlab.cli.main(['certify', '--scenario', 'kunita', '--out', out]) == 0\n"
+            "assert flowlab.cli.main(['hp-scan', '--scenario', 'translation(3)', '--out', out]) == 0\n"
+            "assert flowlab.criteria._direction_sample.cache_info().currsize >= 2\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
