@@ -44,14 +44,11 @@ from .systems import (
 from .expressions import compile_expression, load_system
 from .flow import (
     BrownianDriver,
-    CurveSample,
     StepSchedule,
     integrate_derivative_flow,
     integrate_flow,
     outside_balls,
     schedule_for,
-    segment_curve,
-    transport_curve,
     write_trajectory_csv,
 )
 from .criteria import (

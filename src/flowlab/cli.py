@@ -12,20 +12,24 @@ count, output paths, format) never enter the report.
 Commands: simulate, derivative-moments, stopped-moments, exp-functional,
 radial, exponent, certify, hp-scan, semigroup-check, oracle-test,
 list-scenarios.  FLOWLAB_SEED in the environment overrides any configured
-seed.  Exit codes: 0 success, 2 configuration error, 3 invalid estimate.
+seed.  One table checks every key, from a file, a flag or FLOWLAB_SEED:
+a non-finite number or a seed past 2^64 - 1 is a configuration error.
+Exit codes: 0 success, 2 configuration error, 3 invalid estimate.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import sys
 from typing import Optional
 
 import numpy as np
-import jsonschema
 
 from . import criteria, estimators, semigroup
 from .errors import FlowlabError
@@ -37,52 +41,80 @@ from .flow import (
     schedule_for,
     write_trajectory_csv,
 )
-from .geometry import EmbeddedModel
+from .geometry import CurvatureData, EmbeddedModel
+from .parallel import check_paths
 from .scenarios import Scenario, builtin, oracle_convergence_study, scenario_listing
 from .semigroup import observable
 
 SCHEMA_VERSION = "flowlab/1"
 
-COMMANDS = ("simulate", "derivative-moments", "stopped-moments", "exp-functional",
-            "radial", "exponent", "certify", "hp-scan", "semigroup-check",
-            "oracle-test", "list-scenarios")
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "scenario": {"type": "string"},
-        "system_spec": {"type": ["string", "object"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "paths": {"type": "integer", "minimum": 1},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "t": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "number"},
-        "theta": {"type": "number", "minimum": 0},
-        "epsilon": {"type": "number", "minimum": 0},
-        "x0": {"type": "array", "items": {"type": "number"}},
-        "v0": {"type": "array", "items": {"type": "number"}},
-        "grid": {"type": "array"},
-        "radii": {"type": "array", "items": {"type": "number"}},
-        "horizons": {"type": "array", "items": {"type": "number"}},
-        "dts": {"type": "array", "items": {"type": "number"}},
-        "theorems": {"type": "array", "items": {"type": "string"}},
-        "backends": {"type": "array", "items": {"type": "string"}},
-        "f": {"type": "string"},
-        "eps_ladder": {"type": "array", "items": {"type": "number"}},
-        "k0": {"type": "number"},
-        "center": {"type": "array", "items": {"type": "number"}},
-        "terminal": {"type": "boolean"},
-        "n_directions": {"type": "integer", "minimum": 1},
-        "filter_threshold": {"type": "number", "minimum": 0},
-        "matrix": {"type": "array"},
-    },
-    "additionalProperties": False,
-}
-
 
 class ConfigError(FlowlabError):
     pass
+
+
+def _numbers(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _names(text: str) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+#: the tests a config value must pass, by the text an error quotes: first its
+#: kind (an integer may be an integral float, a number must be finite, and a
+#: bool is neither), then its bound
+_TESTS = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or an object": lambda v: isinstance(v, (str, dict)),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an array": lambda v: isinstance(v, list),
+    "an integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "a finite number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real)
+    and abs(v) < math.inf,
+    "an array of finite numbers": lambda v: isinstance(v, list)
+    and all(map(_TESTS["a finite number"], v)),
+    "an array of strings": lambda v: isinstance(v, list) and all(map(_TESTS["a string"], v)),
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 2^64)": lambda v: 0 <= v < 2 ** 64,
+}
+
+#: every config key: (kind, bound, default, flag parser).  A key with a default
+#: enters every report; the horizon t defaults to the scenario's.  A key with a
+#: parser is also the flag --key (with _ as -), in this order; bool marks a switch.
+CONFIG = {
+    "scenario": ("a string", None, None, str),
+    "system_spec": ("a string or an object", None, None, str),
+    "seed": ("an integer", "in [0, 2^64)", 2026, int),
+    "paths": ("an integer", ">= 1", 10_000, int),
+    "dt": ("a finite number", "> 0", 1e-3, float),
+    "t": ("a finite number", "> 0", None, float),
+    "p": ("a finite number", None, 1.0, float),
+    "theta": ("a finite number", ">= 0", None, float),
+    "f": ("a string", None, None, str),
+    "k0": ("a finite number", None, None, float),
+    "radii": ("an array of finite numbers", None, None, _numbers),
+    "horizons": ("an array of finite numbers", None, None, _numbers),
+    "dts": ("an array of finite numbers", None, None, _numbers),
+    "theorems": ("an array of strings", None, None, _names),
+    "x0": ("an array of finite numbers", None, None, _numbers),
+    "v0": ("an array of finite numbers", None, None, _numbers),
+    "terminal": ("a boolean", None, None, bool),
+    "epsilon": ("a finite number", ">= 0", None, None),
+    "grid": ("an array", None, None, None),
+    "backends": ("an array of strings", None, None, None),
+    "eps_ladder": ("an array of finite numbers", None, None, None),
+    "center": ("an array of finite numbers", None, None, None),
+    "n_directions": ("an integer", ">= 1", None, None),
+    "filter_threshold": ("a finite number", ">= 0", None, None),
+    "matrix": ("an array", None, None, None),
+}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -90,19 +122,25 @@ def _load_config(path: Optional[str]) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return json.loads(text)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _validate_config(cfg: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+    errors = [("$", f"unknown key {key!r}") for key in cfg if key not in CONFIG]
+    for key in cfg.keys() & CONFIG.keys():
+        for test in filter(None, CONFIG[key][:2]):
+            if not _TESTS[test](cfg[key]):
+                errors.append((f"$.{key}", f"{cfg[key]!r} is not {test}"))
+                break
     if errors:
-        msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
+        msgs = "; ".join(f"{path}: {msg}" for path, msg in sorted(errors))
         raise ConfigError(f"config validation failed: {msgs}")
     if "scenario" in cfg and "system_spec" in cfg:
         raise ConfigError("config: give either 'scenario' or 'system_spec', not both")
@@ -113,39 +151,27 @@ def canonical_json(obj) -> str:
 
 
 def _sanitize(obj):
-    """Make results JSON-ready: numpy scalars to floats, non-finite to strings."""
+    """Make results JSON-ready: numpy values to Python ones, non-finite floats
+    to the strings "nan", "inf" and "-inf" (their repr)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if np.isnan(f):
-            return "nan"
-        if np.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
 def _default_point(scenario: Scenario):
+    """A sphere's north pole e_d, another embedded model's retraction of e_1,
+    and e_1 elsewhere."""
     model = scenario.model
-    d = model.ambient_dim
+    e = np.eye(model.ambient_dim)
     if isinstance(model, EmbeddedModel):
-        if scenario.name.startswith("sphere"):
-            x = np.zeros(d)
-            x[-1] = 1.0
-            return x
-        return model.retract(np.array([1.0] + [0.0] * (d - 1)))
-    x = np.zeros(d)
-    x[0] = 1.0
-    return x
+        return e[-1] if scenario.name.startswith("sphere") else model.retract(e[0])
+    return e[0]
 
 
 def _resolve_grid(cfg: dict, scenario: Scenario):
@@ -156,7 +182,6 @@ def _resolve_grid(cfg: dict, scenario: Scenario):
 def _resolve_scenario(cfg: dict) -> Scenario:
     if "system_spec" in cfg:
         system = load_system(cfg["system_spec"])
-        from .geometry import CurvatureData
         return Scenario(name=system.name, system=system,
                         curvature=CurvatureData(pole=np.zeros(system.dim)),
                         oracle=None, notes="user system")
@@ -166,17 +191,8 @@ def _resolve_scenario(cfg: dict) -> Scenario:
     return builtin(name)
 
 
-def _write_report(out_dir: str, command: str, semantic_cfg: dict, results: dict) -> str:
+def _write_json(out_dir: str, command: str, body: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    cfg = _sanitize(semantic_cfg)
-    body = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "config": cfg,
-        "config_hash": hashlib.sha256(canonical_json(cfg).encode()).hexdigest(),
-        "seed": cfg.get("seed"),
-        "results": _sanitize(results),
-    }
     path = os.path.join(out_dir, f"{command}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_json(body))
@@ -184,23 +200,34 @@ def _write_report(out_dir: str, command: str, semantic_cfg: dict, results: dict)
     return path
 
 
-def _write_series_csv(out_dir: str, command: str, header, rows) -> str:
-    import csv
+def _write_report(out_dir: str, command: str, semantic_cfg: dict, results: dict) -> str:
+    cfg = _sanitize(semantic_cfg)
+    return _write_json(out_dir, command, {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "config": cfg,
+        "config_hash": hashlib.sha256(canonical_json(cfg).encode()).hexdigest(),
+        "seed": cfg.get("seed"),
+        "results": _sanitize(results),
+    })
 
-    path = os.path.join(out_dir, f"{command}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+def _series_csv(header, rows):
+    """A writer of a header and rows as CSV, floats written with repr."""
+    def write(fh):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([repr(c) if isinstance(c, float) else c for c in row])
-    return path
+    return write
 
 
 # ----------------------------------------------------------------------
-# command handlers: each returns (results dict, csv spec or None, invalid flag)
+# command handlers: each returns (results dict, CSV writer or None, invalid flag)
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(cfg, scenario, workers):
+    check_paths(cfg["paths"])
     sched = schedule_for(cfg["t"], cfg["dt"])
     x0 = np.asarray(cfg.get("x0") or _default_point(scenario), dtype=float)
     v0 = cfg.get("v0")
@@ -219,7 +246,8 @@ def _cmd_simulate(cfg, scenario, workers):
         "t": sched.horizon, "dt": cfg["dt"],
         "final_state_mean": list(np.mean(res.final_states(), axis=0)),
     }
-    return summary, ("trajectory", res), exploded == cfg["paths"]
+    return (summary, lambda fh: write_trajectory_csv(fh, res, include_v=True),
+            exploded == cfg["paths"])
 
 
 def _cmd_derivative_moments(cfg, scenario, workers):
@@ -238,7 +266,7 @@ def _cmd_stopped_moments(cfg, scenario, workers):
         scenario.system, grid, radii, t=cfg["t"], n_paths=cfg["paths"],
         seed=cfg["seed"], dt=cfg["dt"], center=cfg.get("center"), workers=workers)
     rows = [(r, e.value, e.se, e.n_paths) for r, e in zip(res.radii, res.per_radius_sup)]
-    return res.to_dict(), ("series", ["radius", "estimate", "se", "n"], rows), False
+    return res.to_dict(), _series_csv(["radius", "estimate", "se", "n"], rows), False
 
 
 def _cmd_exp_functional(cfg, scenario, workers):
@@ -275,7 +303,7 @@ def _cmd_exponent(cfg, scenario, workers):
         n_paths=cfg["paths"], seed=cfg["seed"], dt=cfg["dt"], workers=workers)
     rows = [(t, e.value, e.se, e.n_paths)
             for t, e in zip(res.horizons, res.per_horizon)]
-    return res.to_dict(), ("series", ["t", "estimate", "se", "n"], rows), bool(res.excluded)
+    return res.to_dict(), _series_csv(["t", "estimate", "se", "n"], rows), bool(res.excluded)
 
 
 def _cmd_certify(cfg, scenario, workers):
@@ -327,7 +355,7 @@ def _cmd_oracle_test(cfg, scenario, workers):
         n_paths=cfg["paths"], seed=cfg["seed"],
         filter_threshold=cfg.get("filter_threshold", 0.25))
     rows = list(zip(res["dts"], res["rms_errors"]))
-    return res, ("series", ["dt", "rms_error"], rows), False
+    return res, _series_csv(["dt", "rms_error"], rows), False
 
 
 _HANDLERS = {
@@ -343,28 +371,7 @@ _HANDLERS = {
     "oracle-test": _cmd_oracle_test,
 }
 
-_DEFAULTS = {"seed": 2026, "paths": 10_000, "dt": 1e-3, "p": 1.0}
-
-
-def _numbers(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _names(text: str) -> list:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
-
-
-#: the semantic flags: config key -> parser of the flag's text (``--key``,
-#: with ``_`` as ``-``); None marks a switch
-_FLAGS = {
-    "scenario": str, "system_spec": str, "seed": int, "paths": int, "dt": float,
-    "t": float, "p": float, "theta": float, "f": str, "k0": float,
-    "radii": _numbers, "horizons": _numbers, "dts": _numbers, "theorems": _names,
-    "x0": _numbers, "v0": _numbers, "terminal": None,
-}
+COMMANDS = (*_HANDLERS, "list-scenarios")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", metavar="PATH")
-    for key, parse in _FLAGS.items():
+    for key, (*_, parse) in CONFIG.items():
         flag = "--" + key.replace("_", "-")
-        if parse is None:
+        if parse is bool:
             ap.add_argument(flag, dest=key, action="store_true", default=None)
-        else:
+        elif parse is not None:
             ap.add_argument(flag, dest=key, type=parse,
                             metavar="A,B,..." if parse in (_numbers, _names) else None)
     ap.add_argument("--workers", type=int, default=1)
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
     out = dict(cfg)
-    out.update((key, val) for key, val in vars(args).items() if key in _FLAGS and val is not None)
+    out.update((key, val) for key, val in vars(args).items() if key in CONFIG and val is not None)
     env_seed = os.environ.get("FLOWLAB_SEED")
     if env_seed is not None:
         try:
@@ -400,32 +407,23 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
 def run(command: str, cfg: dict, out_dir: str, fmt: str = "json", workers: int = 1) -> int:
     """Dispatch one command; returns the process exit status."""
     if command == "list-scenarios":
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "list-scenarios.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canonical_json(_sanitize({"schema": SCHEMA_VERSION,
-                                               "scenarios": scenario_listing()})))
-            fh.write("\n")
-        print(path)
+        print(_write_json(out_dir, command, _sanitize({"schema": SCHEMA_VERSION,
+                                                        "scenarios": scenario_listing()})))
         return 0
     _validate_config(cfg)
-    merged = dict(_DEFAULTS)
+    merged = {key: spec[2] for key, spec in CONFIG.items() if spec[2] is not None}
     merged.update(cfg)
     scenario = _resolve_scenario(merged)
     merged.setdefault("t", scenario.default_horizon)
     handler = _HANDLERS[command]
-    results, csv_spec, invalid = handler(merged, scenario, workers)
+    results, write_csv, invalid = handler(merged, scenario, workers)
     report_path = _write_report(out_dir, command, merged, results)
     print(report_path)
-    if fmt in ("csv", "both") and csv_spec is not None:
-        if csv_spec[0] == "series":
-            _, header, rows = csv_spec
-            print(_write_series_csv(out_dir, command, header, rows))
-        elif csv_spec[0] == "trajectory":
-            path = os.path.join(out_dir, "simulate.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write_trajectory_csv(fh, csv_spec[1], include_v=True)
-            print(path)
+    if fmt in ("csv", "both") and write_csv is not None:
+        path = os.path.join(out_dir, f"{command}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh)
+        print(path)
     return 3 if invalid else 0
 
 
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
         cfg = _merge_flags(cfg, args)
         return run(args.command, cfg, out_dir=args.out, fmt=args.format,
                    workers=args.workers)
-    except (ConfigError, jsonschema.ValidationError) as exc:
+    except ConfigError as exc:
         print(f"flowlab: configuration error: {exc}", file=sys.stderr)
         return 2
     except FlowlabError as exc:

@@ -15,6 +15,8 @@ point in band order that attains it up to ``TIE_TOLERANCE``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
@@ -72,6 +74,12 @@ def _check_count(name: str, value) -> None:
     """``ContractError`` unless value is a whole number >= 1 (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ContractError(f"need a whole number >= 1 for {name}, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    """``ContractError`` unless value is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
+        raise ContractError(f"need a finite number for {name}, got {value!r}")
 
 
 def direction_sample(dim: int, n: int) -> Array:
@@ -297,6 +305,7 @@ def hp_report(system: VectorFieldSystem, samples, p: float,
     """Evaluate H_p over (x, v) samples per backend and record the worst ratio
     H_p(v, v)/|v|^2; when two or more backends apply their max disagreement is
     reported."""
+    _check_finite("p", p)
     xs = np.array([np.ravel(x) for x, _ in samples], dtype=float)
     vs = np.array([np.ravel(v) for _, v in samples], dtype=float)
     reports, tables = [], []
@@ -533,6 +542,8 @@ def check_growth(system: VectorFieldSystem, kind: str,
     if kind not in _GROWTH_KINDS:
         raise ContractError(f"unknown growth profile kind {kind!r}")
     _check_count("n_directions", n_directions)
+    _check_finite("epsilon", epsilon)
+    _check_finite("p", p)
     S = SampleSet.build(system.model, radii, n_directions)
     conds = _GROWTH_KINDS[kind](system, S, epsilon=epsilon, p=p, curvature=curvature)
     return GrowthProfile(kind=kind, conditions=conds, radii=[float(r) for r in radii],
@@ -693,6 +704,8 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     derivative-form conditions are not applicable either.
     """
     _check_count("n_directions", config.n_directions)
+    _check_finite("epsilon", config.epsilon)
+    _check_finite("p", config.p)
     model = system.model
     entries: List[TheoremVerdict] = []
     for theorem in config.theorems:

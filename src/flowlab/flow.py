@@ -12,7 +12,7 @@ normal field) is evaluated once per point, not once per column.
 
 Common noise: all members of a batch passed to one integration call consume
 the same Brownian increments.  That is the flow coupling used everywhere in
-flowlab, from curve transport to variance-collapsed finite differences.
+flowlab, from transported frames to variance-collapsed finite differences.
 
 Every path is advanced by one kernel, :func:`propagate`, under one policy: a
 member explodes when the model's escape coordinate exceeds a finite radius
@@ -512,71 +512,6 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     return DerivativeFlowResult(**_flow_fields(sched, states, s), mode=mode,
                                 log_norms=logs, directions=dirs, martingale=Ms,
                                 quad_variation=QVs, drift_accumulator=As)
-
-
-# ----------------------------------------------------------------------
-# curve transport
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CurveSample:
-    """Piecewise-C1 curve discretization: nodes, tangents and parameter values."""
-
-    points: Array     # (k, d)
-    tangents: Array   # (k, d)
-    params: Array     # (k,), nondecreasing
-
-    def __post_init__(self):
-        if self.points.shape != self.tangents.shape or self.points.shape[0] != self.params.shape[0]:
-            raise ContractError("curve nodes, tangents and params must align")
-
-
-def segment_curve(a, b, n_nodes: int) -> CurveSample:
-    """Straight segment from a to b sampled at n_nodes, arclength parametrized."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = np.linspace(0.0, 1.0, n_nodes)
-    pts = a[None, :] + s[:, None] * (b - a)[None, :]
-    length = float(vec_norm(b - a))
-    tangents = np.tile((b - a) / (length if length else 1.0), (n_nodes, 1))
-    return CurveSample(points=pts, tangents=tangents, params=s * length)
-
-
-@dataclass
-class TransportResult:
-    image_points: Array
-    image_tangents: Array
-    length: float
-    initial_length: float
-    exploded_node: Optional[int]
-    min_puncture_distance: Optional[float]
-
-
-def transport_curve(system: VectorFieldSystem, curve: CurveSample, sched: StepSchedule,
-                    driver: BrownianDriver, r_expl: float = DEFAULT_EXPLOSION_RADIUS) -> TransportResult:
-    """Transport a sampled curve by the flow and its tangents by the derivative
-    flow under one shared driver; the image length is the quadrature of
-    |T F_t(sigma'(s))| over the curve parameter."""
-    res = integrate_derivative_flow(system, curve.points, curve.tangents, sched, driver,
-                                    mode="direct", r_expl=r_expl)
-    xT = res.states[-1]
-    vT = res.vs[-1]
-    model = system.model
-    init_speed = np.asarray(model.metric_norm(curve.points, curve.tangents), dtype=float)
-    initial_length = float(np.trapezoid(init_speed, curve.params))
-    exploded_node = None
-    if np.any(res.exploded):
-        exploded_node = int(np.argmax(res.exploded))
-        length = float("inf")
-    else:
-        speed = np.asarray(model.metric_norm(xT, vT), dtype=float)
-        length = float(np.trapezoid(speed, curve.params))
-    min_punct = None
-    if hasattr(model, "puncture_distance"):
-        min_punct = float(np.min(model.puncture_distance(res.states)))
-    return TransportResult(image_points=xT, image_tangents=vT, length=length,
-                           initial_length=initial_length, exploded_node=exploded_node,
-                           min_puncture_distance=min_punct)
 
 
 # ----------------------------------------------------------------------

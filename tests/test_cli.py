@@ -4,16 +4,20 @@ independence, environment seed override."""
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import flowlab
-from flowlab import BrownianDriver, builtin, cli, integrate_derivative_flow, schedule_for
+from flowlab import BrownianDriver, ContractError, builtin, cli, integrate_derivative_flow, schedule_for
 from flowlab.flow import write_trajectory_csv
 
 
@@ -74,6 +78,213 @@ class TestValidation:
         rc = cli.run("radial", {"scenario": "ou(1)", "paths": 1},
                      out_dir=str(tmp_path), fmt="json")
         assert rc == 3
+
+
+#: the Draft 2020-12 schema that checked configs before the config table; the
+#: table must accept exactly what it accepts, bar the tightenings below
+OLD_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "scenario": {"type": "string"},
+        "system_spec": {"type": ["string", "object"]},
+        "seed": {"type": "integer", "minimum": 0},
+        "paths": {"type": "integer", "minimum": 1},
+        "dt": {"type": "number", "exclusiveMinimum": 0},
+        "t": {"type": "number", "exclusiveMinimum": 0},
+        "p": {"type": "number"},
+        "theta": {"type": "number", "minimum": 0},
+        "epsilon": {"type": "number", "minimum": 0},
+        "x0": {"type": "array", "items": {"type": "number"}},
+        "v0": {"type": "array", "items": {"type": "number"}},
+        "grid": {"type": "array"},
+        "radii": {"type": "array", "items": {"type": "number"}},
+        "horizons": {"type": "array", "items": {"type": "number"}},
+        "dts": {"type": "array", "items": {"type": "number"}},
+        "theorems": {"type": "array", "items": {"type": "string"}},
+        "backends": {"type": "array", "items": {"type": "string"}},
+        "f": {"type": "string"},
+        "eps_ladder": {"type": "array", "items": {"type": "number"}},
+        "k0": {"type": "number"},
+        "center": {"type": "array", "items": {"type": "number"}},
+        "terminal": {"type": "boolean"},
+        "n_directions": {"type": "integer", "minimum": 1},
+        "filter_threshold": {"type": "number", "minimum": 0},
+        "matrix": {"type": "array"},
+    },
+    "additionalProperties": False,
+}
+
+# finite numbers only: a non-finite number is one of the tightenings
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = (st.sampled_from([-1, 0, 1, 2, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.5, 2 ** 64 - 1])
+           | st.integers(-(2 ** 64), 2 ** 64 - 1) | FINITE)
+VALUES = st.recursive(st.none() | st.booleans() | NUMBERS | st.text(max_size=3),
+                      lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                      max_leaves=6)
+OF_TYPE = {"number": NUMBERS, "integer": NUMBERS, "string": st.text(max_size=3),
+           "boolean": st.booleans(), "object": st.dictionaries(st.text(max_size=2), VALUES, max_size=2),
+           "array": st.lists(VALUES, max_size=3)}
+
+
+@st.composite
+def configs(draw):
+    """Up to five keys, known or not; a known key's value is of its schema type
+    (its bound and items unchecked) half of the time, any JSON value else."""
+    props = OLD_SCHEMA["properties"]
+    cfg = {}
+    for key in draw(st.lists(st.sampled_from([*props, "bogus", "Seed"]), max_size=5, unique=True)):
+        prop = props.get(key, {"type": []})
+        typed = [OF_TYPE[t] for t in ([prop["type"]] if isinstance(prop["type"], str) else prop["type"])]
+        if "items" in prop:
+            typed = [st.lists(OF_TYPE[prop["items"]["type"]], max_size=3)]
+        cfg[key] = draw(st.one_of(st.one_of(*typed), VALUES) if typed else VALUES)
+    return cfg
+
+
+class TestConfigTable:
+    @settings(max_examples=1500, deadline=None)
+    @given(configs())
+    def test_accepts_what_the_old_schema_accepted(self, cfg):
+        seed = cfg.get("seed")
+        # a seed past 2^64 - 1 is one of the tightenings
+        assume(isinstance(seed, bool) or not isinstance(seed, (int, float)) or seed < 2 ** 64)
+        errors = list(jsonschema.Draft202012Validator(OLD_SCHEMA).iter_errors(cfg))
+        try:
+            cli._validate_config(cfg)
+            message = None
+        except cli.ConfigError as exc:
+            message = str(exc)
+        both = "scenario" in cfg and "system_spec" in cfg
+        assert (message is None) == (not errors and not both), (cfg, errors, message)
+        for e in errors:    # the key path, down to the key: "$" or "$.key"
+            assert re.match(r"\$(\.\w+)?", e.json_path).group() + ": " in message
+
+    def test_errors_name_their_key_paths_in_order(self):
+        with pytest.raises(cli.ConfigError) as err:
+            cli._validate_config({"seed": "x", "bogus": 1, "dt": -0.0, "x0": [1, None]})
+        assert re.findall(r"(\$[.\w]*): ", str(err.value)) == ["$", "$.dt", "$.seed", "$.x0"]
+
+    @pytest.mark.parametrize("cfg", [
+        {"seed": True}, {"paths": True}, {"p": True}, {"x0": [1.0, False]},   # a bool is no number
+        {"dt": -0.0}, {"t": -0.0}, {"dt": 0}, {"seed": -1}, {"paths": 0.0}, {"theta": -1e-300},
+        {"n_directions": 1.5}, {"theorems": "Cor5.2"}, {"theorems": [1]}, {"grid": 1.0},
+        {"terminal": 1}, {"system_spec": 3}, {"scenario": "ou(1)", "system_spec": "s.json"},
+        {"nope": 1},
+    ])
+    def test_rejects(self, cfg):
+        with pytest.raises(cli.ConfigError):
+            cli._validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        {"seed": 2.0}, {"seed": 2 ** 64 - 1}, {"paths": 3.0}, {"n_directions": 4.0},
+        {"grid": [[0, "a"], {}]}, {"matrix": [["x"]]}, {"system_spec": {"dim": 1}},
+        {"epsilon": -0.0}, {"theta": 0}, {"p": -3}, {"x0": []},
+    ])
+    def test_accepts(self, cfg):
+        cli._validate_config(cfg)
+
+    def test_integral_floats_pass_as_integers(self, tmp_path, capsys):
+        # seed 2.0 runs, and is recorded as given
+        assert cli.run("certify", {"scenario": "ou(1)", "seed": 2.0, "theorems": ["Cor5.2"]},
+                       str(tmp_path)) == 0
+        assert json.loads((tmp_path / "certify.json").read_text())["seed"] == 2.0
+        # a whole-number float count reaches the library, which wants an int
+        with pytest.raises(ContractError):
+            cli.run("derivative-moments", {"paths": 3.0, "t": 0.01, "dt": 0.01}, str(tmp_path))
+        with pytest.raises(ContractError):
+            cli.run("certify", {"n_directions": 4.0}, str(tmp_path))
+
+    @pytest.mark.parametrize("command, text, flags", [
+        # certify with p = NaN used to report all four theorems "certified"
+        ("certify", '{"scenario": "ou(1)", "p": NaN}', []),
+        # exp-functional with theta = NaN used to report the value "nan"
+        ("exp-functional", '{"scenario": "ou(1)", "theta": NaN, "paths": 4, "t": 0.01}', []),
+        ("certify", '{"epsilon": Infinity}', []),
+        ("radial", '{"radii": [1.0, -Infinity]}', []),
+        ("certify", "{}", ["--p", "nan"]),
+        ("derivative-moments", "{}", ["--t", "inf", "--paths", "4"]),
+        ("simulate", "{}", ["--x0", "1,nan", "--paths", "2"]),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, monkeypatch, command, text, flags):
+        monkeypatch.delenv("FLOWLAB_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--seed", str(2 ** 64)], None),
+        (["--config", "SEED_FILE"], None),
+        ([], str(2 ** 64)),
+    ])
+    def test_seeds_past_u64_exit_2(self, tmp_path, capsys, monkeypatch, flags, env):
+        # BrownianDriver takes the seed mod 2^64: seed 2^64 drew seed 0's
+        # numbers under another config hash
+        monkeypatch.delenv("FLOWLAB_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("FLOWLAB_SEED", env)
+        seed_file = tmp_path / "seed.json"
+        seed_file.write_text(json.dumps({"seed": 2 ** 64}))
+        flags = [str(seed_file) if f == "SEED_FILE" else f for f in flags]
+        assert cli.main(["certify", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert "$.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"ou(1)"', "3", "null"])
+    def test_config_file_must_be_an_object(self, tmp_path, text):
+        # [1, 2] used to end in a raw TypeError traceback with exit status 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        proc = run_cli(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_help_keeps_every_flag(self, monkeypatch):
+        # the parser is built from the table: the same flags, metavars and
+        # order as before it (argparse output of Python 3.11 at 80 columns)
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser().format_help() == HELP.replace("<DOC>", cli.__doc__)
+
+
+HELP = """\
+usage: flowlab [-h] [--config PATH] [--scenario SCENARIO]
+               [--system-spec SYSTEM_SPEC] [--seed SEED] [--paths PATHS]
+               [--dt DT] [--t T] [--p P] [--theta THETA] [--f F] [--k0 K0]
+               [--radii A,B,...] [--horizons A,B,...] [--dts A,B,...]
+               [--theorems A,B,...] [--x0 A,B,...] [--v0 A,B,...] [--terminal]
+               [--workers WORKERS] [--out OUT] [--format {json,csv,both}]
+               {simulate,derivative-moments,stopped-moments,exp-functional,radial,exponent,certify,hp-scan,semigroup-check,oracle-test,list-scenarios}
+
+<DOC>
+positional arguments:
+  {simulate,derivative-moments,stopped-moments,exp-functional,radial,exponent,certify,hp-scan,semigroup-check,oracle-test,list-scenarios}
+
+options:
+  -h, --help            show this help message and exit
+  --config PATH
+  --scenario SCENARIO
+  --system-spec SYSTEM_SPEC
+  --seed SEED
+  --paths PATHS
+  --dt DT
+  --t T
+  --p P
+  --theta THETA
+  --f F
+  --k0 K0
+  --radii A,B,...
+  --horizons A,B,...
+  --dts A,B,...
+  --theorems A,B,...
+  --x0 A,B,...
+  --v0 A,B,...
+  --terminal
+  --workers WORKERS
+  --out OUT
+  --format {json,csv,both}
+"""
 
 
 class TestReports:

@@ -27,6 +27,7 @@ from flowlab import (
     estimate_stopped_moment,
     estimate_sup_derivative_moment,
     gradient_consistency_check,
+    hp_report,
     integrate_flow,
     load_system,
     observable,
@@ -119,6 +120,17 @@ def test_the_oracle_test_command_exits_2_on_a_bad_ladder(tmp_path, capsys, flags
     rc = cli.main(["oracle-test", "--scenario", "translation(2)", "--paths", "4", "--t", "0.02",
                    *flags, "--out", str(tmp_path)])
     assert rc == 2 and "flowlab:" in capsys.readouterr().err
+
+
+def test_simulate_needs_a_whole_number_of_paths(tmp_path):
+    # {"paths": 3.0} passes the config check and used to end in a raw
+    # TypeError from range(); simulate now checks its count before any draw,
+    # as every other Monte Carlo command does
+    from flowlab import cli
+
+    with pytest.raises(ContractError):
+        cli.run("simulate", {"scenario": "ou(1)", "paths": 3.0, "t": 0.1, "dt": 0.01}, str(tmp_path))
+    assert not list(tmp_path.iterdir())
 
 
 def test_the_noise_source_is_read_forward():
@@ -524,3 +536,26 @@ def test_direction_sample_stops_at_the_table():
         direction_sample(21202, 4)
     with pytest.raises(CapabilityError):      # 2^31 points; the sequence has 2^30
         direction_sample(2, 2 ** 29)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), True, "1"])
+def test_certificates_need_a_finite_order_and_exponent(bad):
+    # p or epsilon = nan or inf used to give "certified" on ou(1), and
+    # hp_report(p=nan) a list of nan with a RuntimeWarning
+    system = builtin("ou(1)").system
+    for kw in (dict(p=bad), dict(epsilon=bad)):
+        with pytest.raises(ContractError):
+            certify(system, CertifyConfig(theorems=("Cor5.2", "Thm5.3", "Thm6.2"), **kw))
+        with pytest.raises(ContractError):
+            check_growth(system, "epsilon_exponent", n_directions=4, **kw)
+    with pytest.raises(ContractError):
+        hp_report(system, [(np.array([1.0]), np.array([1.0]))], p=bad)
+
+
+def test_certificates_take_any_finite_real():
+    # an int, a numpy scalar and epsilon = 0 all pass the check
+    system = builtin("ou(1)").system
+    sample = [(np.array([1.0]), np.array([1.0]))]
+    assert hp_report(system, sample, p=2)[0].values == hp_report(system, sample, p=np.float64(2))[0].values
+    report = certify(system, CertifyConfig(theorems=("Thm5.3",), p=np.int64(1), epsilon=0))
+    assert report.entries[0].status == "certified"

@@ -319,20 +319,34 @@ def test_direction_sample_is_cached_and_read_only():
 
 
 def test_import_leaves_scipy_stats_out(tmp_path):
-    # directions are built in flowlab.qmc: importing the CLI and running the
-    # two commands that sample directions loads no scipy module at all
+    # numpy is the only run-time dependency: importing the CLI and running a
+    # certify, an hp-scan and a simulate loads no top-level module beyond the
+    # standard library, flowlab and what a bare numpy.random import loads in
+    # the same interpreter (site hooks included); __mp_main__ is the alias
+    # of __main__ that multiprocessing registers.  scipy (directions come
+    # from flowlab.qmc) and jsonschema (one config table) are test-only.
     env = dict(os.environ)
     src = str(Path(flowlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, flowlab.cli\n"
-            f"out = {str(tmp_path)!r}\n"
-            "assert flowlab.cli.main(['certify', '--scenario', 'kunita', '--out', out]) == 0\n"
-            "assert flowlab.cli.main(['hp-scan', '--scenario', 'translation(3)', '--out', out]) == 0\n"
-            "assert flowlab.criteria._direction_sample.cache_info().currsize >= 2\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded, loaded\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def top_level_modules(code):
+        proc = subprocess.run([sys.executable, "-c", code + "\nprint(*sys.modules, file=sys.stderr)"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return {name.split(".")[0] for name in proc.stderr.split()}
+
+    baseline = top_level_modules("import sys, numpy.random")
+    out = str(tmp_path)
+    loaded = top_level_modules(
+        "import sys, flowlab.cli\n"
+        f"assert flowlab.cli.main(['certify', '--scenario', 'kunita', '--out', {out!r}]) == 0\n"
+        f"assert flowlab.cli.main(['hp-scan', '--scenario', 'translation(3)', '--out', {out!r}]) == 0\n"
+        "assert flowlab.cli.main(['simulate', '--scenario', 'sphere(3)', '--paths', '2',"
+        f" '--format', 'both', '--out', {out!r}]) == 0\n"
+        "assert flowlab.criteria._direction_sample.cache_info().currsize >= 2")
+    assert "flowlab" in loaded and "numpy" in baseline
+    extra = sorted(loaded - baseline - set(sys.stdlib_module_names) - {"flowlab", "__mp_main__"})
+    assert not extra, extra
 
 
 class TestSampleSetReductions:

@@ -1,6 +1,6 @@
 """Integrator contracts: driver determinism and statistics, oracle exactness
 for additive noise, derivative-flow consistency, the ball-exit predicate on
-propagated states, curve transport, explosion handling."""
+propagated states, explosion handling."""
 
 import io
 from dataclasses import replace
@@ -19,8 +19,6 @@ from flowlab import (
     oracle_flow,
     outside_balls,
     schedule_for,
-    segment_curve,
-    transport_curve,
     write_trajectory_csv,
 )
 from flowlab.flow import Stepper, chunk_paths, propagate, record_trajectory, run_paths
@@ -298,25 +296,6 @@ class TestStopsAndCurves:
         assert np.all(outside_balls(last, np.zeros(1), radii))
         assert first[-1] == last.explosion_step[0] <= 100
         assert first[0] == 0 and np.all(np.diff(first) >= 0)
-
-    def test_translation_preserves_length(self):
-        scn = builtin("translation(2)")
-        curve = segment_curve([0.0, 0.0], [1.0, 0.0], 11)
-        res = transport_curve(scn.system, curve, schedule_for(1.0, 1e-2), BrownianDriver(4, 2))
-        assert res.length == pytest.approx(res.initial_length, abs=1e-12)
-
-    def test_ou_contracts_length(self):
-        scn = builtin("ou(2)")
-        curve = segment_curve([0.0, 0.0], [1.0, 0.0], 11)
-        res = transport_curve(scn.system, curve, schedule_for(1.0, 1e-3), BrownianDriver(5, 2))
-        assert res.length == pytest.approx(np.exp(-1.0), abs=1e-4)
-
-    def test_puncture_proximity_diagnostic(self):
-        scn = builtin("punctured_translation(2)")
-        curve = segment_curve([0.4, 0.0], [1.4, 0.0], 21)
-        res = transport_curve(scn.system, curve, schedule_for(4.0, 1e-2), BrownianDriver(6, 2))
-        assert res.min_puncture_distance is not None
-        assert res.min_puncture_distance < 0.4  # the segment drifts toward the hole eventually
 
 
 def test_trajectory_csv_deterministic():
