@@ -326,10 +326,7 @@ def _cmd_hp_scan(cfg, scenario, workers):
         radii = cfg.get("radii") or [0.5, 1.0, 2.0, 4.0]
         dirs = criteria.direction_sample(model.ambient_dim, 8)
         points = np.concatenate([r * dirs for r in radii])
-    samples = []
-    for x in points:
-        for v in criteria.tangent_directions(model, x, 4):
-            samples.append((x, v))
+    samples = [(x, v) for x in points for v in criteria.tangent_directions(model, x, 4)]
     reports = criteria.hp_report(scenario.system, samples, p=cfg["p"],
                                  backends=backends, curvature=scenario.curvature)
     return {"reports": [r.to_dict() for r in reports]}, None, False
@@ -416,7 +413,8 @@ def run(command: str, cfg: dict, out_dir: str, fmt: str = "json", workers: int =
     scenario = _resolve_scenario(merged)
     merged.setdefault("t", scenario.default_horizon)
     handler = _HANDLERS[command]
-    results, write_csv, invalid = handler(merged, scenario, workers)
+    # an integral float seed passes the check above; the noise driver takes an int
+    results, write_csv, invalid = handler(dict(merged, seed=int(merged["seed"])), scenario, workers)
     report_path = _write_report(out_dir, command, merged, results)
     print(report_path)
     if fmt in ("csv", "both") and write_csv is not None:

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import qmc
-from .errors import CapabilityError, ContractError
+from .errors import CapabilityError, ContractError, check_whole
 from .geometry import (
     CurvatureData,
     EmbeddedModel,
@@ -70,12 +70,6 @@ ISOMETRY_TOL = 1e-6
 # deterministic sample sets
 # ----------------------------------------------------------------------
 
-def _check_count(name: str, value) -> None:
-    """``ContractError`` unless value is a whole number >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ContractError(f"need a whole number >= 1 for {name}, got {value!r}")
-
-
 def _check_finite(name: str, value) -> None:
     """``ContractError`` unless value is a finite real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
@@ -91,8 +85,8 @@ def direction_sample(dim: int, n: int) -> Array:
     unless dim and n are whole numbers >= 1; ``CapabilityError`` beyond the
     table's 21,201 dimensions.
     """
-    _check_count("the dimension", dim)
-    _check_count("the number of directions", n)
+    check_whole("the dimension", dim)
+    check_whole("the number of directions", n)
     if dim > qmc.MAX_DIM:
         raise CapabilityError(f"Sobol directions go up to dimension {qmc.MAX_DIM}, got {dim}")
     return _direction_sample(int(dim), int(n))
@@ -160,34 +154,39 @@ def sample_states(model: ManifoldModel, radii: Sequence[float], n_dirs: int) -> 
 # H_p backends
 # ----------------------------------------------------------------------
 
-def _covariant_column_jacobians(system: VectorFieldSystem, x: Array, v: Array) -> Array:
-    """grad X^i(v) for each i, stacked (..., dim, m); ambient derivative
-    projected onto the tangent space for embedded models."""
-    s = as_stratonovich(system)
-    J = s.column_jacobians(x, v)
+def _flat_metric(model: ManifoldModel) -> bool:
+    """Whether the model carries the flat metric of R^n (punctured or not);
+    the rescaled plane is a conformal metric and is not flat."""
+    return isinstance(model, FlatModel)
+
+
+def _column_terms(system: VectorFieldSystem, x: Array, v: Array, directional: bool = True):
+    """(hs, qdir): sum_i |grad X^i(v)|^2 and sum_i <grad X^i(v), v>^2 (None
+    unless directional), the ambient derivative projected onto the tangent
+    space for embedded models.  A constant diffusion gives exact zeros of the
+    batch shape and forms no (..., dim, m) stack of column jacobians."""
+    if system.constant_diffusion:
+        zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v))[:-1])
+        return zero, zero
+    J = as_stratonovich(system).column_jacobians(x, v)
     model = system.model
     if isinstance(model, EmbeddedModel):
         J = np.stack([model.tangent_project(x, J[..., i]) for i in range(J.shape[-1])], axis=-1)
-    return J
+    inner = np.einsum("...im,...i->...m", J, v) if directional else None
+    return np.sum(J * J, axis=(-2, -1)), None if inner is None else np.sum(inner * inner, axis=-1)
 
 
 def _grad_x_sq(system: VectorFieldSystem, x: Array, v: Array) -> Array:
     """sum_i |grad X^i(v)|^2; |alpha(v, .)|_HS^2 for gradient systems."""
-    J = _covariant_column_jacobians(system, x, v)
-    return np.sum(J * J, axis=(-2, -1))
+    return _column_terms(system, x, v, directional=False)[0]
 
 
 def _z_field(system: VectorFieldSystem):
     """The Brownian-with-drift field Z = A^X and its directional derivative."""
     if system.z_drift is not None and system.z_drift_jacobian is not None:
         return system.z_drift, system.z_drift_jacobian
-    dec = effective_drift(system)
-    z = dec.a_x
-
-    def zjac(x, v):
-        return fd_directional(z, x, v)
-
-    return z, zjac
+    z = effective_drift(system).a_x
+    return z, partial(fd_directional, z)
 
 
 def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
@@ -202,17 +201,46 @@ def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
 def _ricci_fn(model: ManifoldModel, curvature: Optional[CurvatureData]):
     if curvature is not None and curvature.ricci is not None:
         return curvature.ricci
-    if isinstance(model, EmbeddedModel) and model.ricci is not None:
-        return model.ricci
-    return None
+    return model.ricci if isinstance(model, EmbeddedModel) else None
 
 
-def _hs_and_directional(J: Array, v: Array, p: float, nv2: Array) -> Array:
-    """sum |J^i|^2 + (p - 2) sum <J^i, v>^2 / |v|^2 for J stacked (..., dim, m)."""
-    hs = np.sum(J * J, axis=(-2, -1))
-    inner = np.einsum("...im,...i->...m", J, v)
-    qdir = np.sum(inner * inner, axis=-1)
-    return hs + (p - 2.0) * qdir / nv2
+def _gauss(system: VectorFieldSystem, x, v, p, nv2, curvature) -> Array:
+    model = system.model
+    avv = second_fundamental_form(model, x, v, v)
+    # alpha(v, .) = -<D_v nu, .> nu, so |alpha(v, .)|_HS^2 = |P D_v nu|^2
+    a_v = model.tangent_project(x, model.dnormal(x, v))
+    return (-np.sum(avv * model.mean_curvature(x), axis=-1) + 2.0 * np.sum(a_v * a_v, axis=-1)
+            + (p - 2.0) * np.sum(avv * avv, axis=-1) / nv2
+            + 2.0 * _grad_z_quad(system, x, v))
+
+
+def _euclidean(system: VectorFieldSystem, x, v, p, nv2, curvature) -> Array:
+    da = np.asarray(as_ito(system).drift_jacobian(x, v), dtype=float)
+    hs, qdir = _column_terms(system, x, v)
+    return 2.0 * np.sum(da * v, axis=-1) + (hs + (p - 2.0) * qdir / nv2)
+
+
+def _ricci(system: VectorFieldSystem, x, v, p, nv2, curvature) -> Array:
+    defect = np.max(isometry_defect(system, x))
+    if defect > ISOMETRY_TOL:
+        raise CapabilityError(f"system is not isometric at x (defect {defect:.2e})")
+    hs, qdir = _column_terms(system, x, v)
+    ric = _ricci_fn(system.model, curvature)
+    return (2.0 * _grad_z_quad(system, x, v) - np.asarray(ric(x, v), dtype=float)
+            + (hs + (p - 2.0) * qdir / nv2))
+
+
+#: H_p backend name -> (why_not(system, curvature): the reason it does not
+#: apply, or None; evaluate(system, x, v, p, |v|^2, curvature)), in the order
+#: ``auto`` tries them
+_HP_BACKENDS = {
+    "gauss": (lambda s, c: None if isinstance(s.model, EmbeddedModel) and s.is_gradient
+              else "gauss backend needs a gradient Brownian system of an embedding", _gauss),
+    "euclidean": (lambda s, c: None if _flat_metric(s.model)
+                  else "euclidean backend needs a flat model", _euclidean),
+    "ricci": (lambda s, c: None if _ricci_fn(s.model, c) is not None
+              else "ricci backend needs Ricci curvature data", _ricci),
+}
 
 
 def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
@@ -222,56 +250,35 @@ def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
     x and v broadcast over leading axes (one pair per leading index); a single
     pair gives a float, a batch an array of the leading shape.
 
-    Backends:
+    Backends, in the order ``auto`` tries them (it takes the first that
+    applies, and checks none after it):
+      * ``gauss`` (embedded gradient systems): -<alpha(v,v), trace alpha>
+        + 2|alpha(v,.)|_HS^2 + (p-2)|alpha(v,v)|^2/|v|^2 + 2<grad Z v, v>.
       * ``euclidean`` (flat models): 2<DA v, v> + sum|DX^i v|^2
         + (p-2) sum <DX^i v, v>^2 / |v|^2 with the Ito-form drift A.
       * ``ricci`` (isometric X^*X = Id systems with Ricci data):
         2<grad Z v, v> - Ric(v,v) + sum|grad X^i v|^2 + (p-2) q.
-      * ``gauss`` (embedded gradient systems): -<alpha(v,v), trace alpha>
-        + 2|alpha(v,.)|_HS^2 + (p-2)|alpha(v,v)|^2/|v|^2 + 2<grad Z v, v>.
+
+    ``CapabilityError`` names the reason a named backend does not apply, or
+    every backend's reason when none applies to ``auto``.  A constant
+    diffusion's column terms are exact zeros, formed without its jacobians.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     nv2 = np.sum(v * v, axis=-1)
     if np.any(nv2 == 0.0):
         raise ContractError("H_p is evaluated at v != 0")
-    model = system.model
-    if backend == "auto":
-        if isinstance(model, EmbeddedModel):
-            backend = "gauss" if system.is_gradient else "ricci"
-        else:
-            backend = "euclidean"
-
-    if backend == "euclidean":
-        if isinstance(model, (EmbeddedModel, RescaledFlatModel)):
-            raise CapabilityError("euclidean backend needs a flat model")
-        s = as_ito(system)
-        da = np.asarray(s.drift_jacobian(x, v), dtype=float)
-        h = 2.0 * np.sum(da * v, axis=-1) + _hs_and_directional(s.column_jacobians(x, v), v, p, nv2)
-    elif backend == "ricci":
-        ric = _ricci_fn(model, curvature)
-        if ric is None:
-            raise CapabilityError("ricci backend needs Ricci curvature data")
-        defect = np.max(isometry_defect(system, x))
-        if defect > ISOMETRY_TOL:
-            raise CapabilityError(f"system is not isometric at x (defect {defect:.2e})")
-        J = _covariant_column_jacobians(system, x, v)
-        h = (2.0 * _grad_z_quad(system, x, v) - np.asarray(ric(x, v), dtype=float)
-             + _hs_and_directional(J, v, p, nv2))
-    elif backend == "gauss":
-        if not isinstance(model, EmbeddedModel):
-            raise CapabilityError("gauss backend needs an embedded model")
-        if not system.is_gradient:
-            raise CapabilityError("gauss backend applies to gradient Brownian systems")
-        avv = second_fundamental_form(model, x, v, v)
-        # alpha(v, .) = -<D_v nu, .> nu, so |alpha(v, .)|_HS^2 = |P D_v nu|^2
-        a_v = model.tangent_project(x, model.dnormal(x, v))
-        h = (-np.sum(avv * model.mean_curvature(x), axis=-1) + 2.0 * np.sum(a_v * a_v, axis=-1)
-             + (p - 2.0) * np.sum(avv * avv, axis=-1) / nv2
-             + 2.0 * _grad_z_quad(system, x, v))
-    else:
-        raise CapabilityError(f"unknown H_p backend {backend!r}")
-    return float(h) if np.ndim(h) == 0 else h
+    reasons = []
+    for name in _HP_BACKENDS if backend == "auto" else (backend,):
+        if name not in _HP_BACKENDS:
+            raise CapabilityError(f"unknown H_p backend {name!r}")
+        why_not, evaluate = _HP_BACKENDS[name]
+        reason = why_not(system, curvature)
+        if reason is None:
+            h = evaluate(system, x, v, p, nv2, curvature)
+            return float(h) if np.ndim(h) == 0 else h
+        reasons.append(reason)
+    raise CapabilityError("; ".join(reasons))
 
 
 def eval_Htilde(system: VectorFieldSystem, x, v, backend: str = "auto",
@@ -287,38 +294,40 @@ class HpReport:
     p: float
     points: List[list]
     values: List[float]
-    max_ratio: float
+    max_ratio: Optional[float]
     disagreement: Optional[float] = None
+    reason: Optional[str] = None     # why the backend does not apply
 
     def to_dict(self):
-        return {
-            "backend": self.backend, "p": self.p,
-            "points": self.points, "values": self.values,
-            "max_ratio": self.max_ratio,
-            "disagreement": self.disagreement,
-        }
+        return {k: v for k, v in vars(self).items() if k != "reason" or v is not None}
 
 
 def hp_report(system: VectorFieldSystem, samples, p: float,
               backends: Sequence[str] = ("auto",),
               curvature: Optional[CurvatureData] = None) -> List[HpReport]:
     """Evaluate H_p over (x, v) samples per backend and record the worst ratio
-    H_p(v, v)/|v|^2; when two or more backends apply their max disagreement is
-    reported."""
+    H_p(v, v)/|v|^2.  A backend that does not apply (``CapabilityError``) is
+    reported with no values and its reason, as ``certify`` reports a theorem
+    not-applicable; when two or more backends apply their max disagreement is
+    reported on each of them."""
     _check_finite("p", p)
     xs = np.array([np.ravel(x) for x, _ in samples], dtype=float)
     vs = np.array([np.ravel(v) for _, v in samples], dtype=float)
     reports, tables = [], []
     for b in backends:
-        vals = eval_Hp(system, xs, vs, p, backend=b, curvature=curvature)
+        try:
+            vals = eval_Hp(system, xs, vs, p, backend=b, curvature=curvature)
+        except CapabilityError as exc:
+            reports.append(HpReport(b, p, xs.tolist(), [], None, reason=str(exc)))
+            continue
         tables.append(vals)
-        reports.append(HpReport(backend=b, p=p, points=xs.tolist(), values=vals.tolist(),
-                                max_ratio=float(np.max(vals / np.sum(vs * vs, axis=-1)))))
+        reports.append(HpReport(b, p, xs.tolist(), vals.tolist(),
+                                float(np.max(vals / np.sum(vs * vs, axis=-1)))))
     if len(tables) >= 2:
         arr = np.array(tables)
         dis = float(np.max(np.abs(arr - arr[0])))
         for r in reports:
-            r.disagreement = dis
+            r.disagreement = dis if r.reason is None else None
     return reports
 
 
@@ -438,8 +447,7 @@ def _hp_fn(system: VectorFieldSystem, p: float,
 
 
 def _has_r_term(system: VectorFieldSystem, curvature: Optional[CurvatureData]) -> bool:
-    return isinstance(system.model, (FlatModel, PuncturedFlatModel)) \
-        or _ricci_fn(system.model, curvature) is not None
+    return _flat_metric(system.model) or _ricci_fn(system.model, curvature) is not None
 
 
 def _sup_drift_curvature(system: VectorFieldSystem, curvature: Optional[CurvatureData],
@@ -448,20 +456,11 @@ def _sup_drift_curvature(system: VectorFieldSystem, curvature: Optional[Curvatur
     sum_i <R(X^i, v)X^i, v>, which is zero on flat models and -Ric(v, v) for
     isometric systems with Ricci data (isometry checked once per point).
     A^X = Z with its declared jacobian where the system declares Z."""
-    model = system.model
-    _, zjac = _z_field(system)
-    ric = None if isinstance(model, (FlatModel, PuncturedFlatModel)) else _ricci_fn(model, curvature)
+    ric = None if _flat_metric(system.model) else _ricci_fn(system.model, curvature)
     if ric is not None and np.any(isometry_defect(system, S.x) > ISOMETRY_TOL):
         raise CapabilityError("curvature rewriting needs an isometric system")
-
-    def quad(x, v):
-        da = np.asarray(zjac(x, v), dtype=float)
-        if isinstance(model, EmbeddedModel):
-            da = model.tangent_project(x, da)
-        rterm = 0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)
-        return 2.0 * np.sum(da * v, axis=-1) + rterm
-
-    return S.sup_dirs(quad)
+    return S.sup_dirs(lambda x, v: 2.0 * _grad_z_quad(system, x, v)
+                      + (0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)))
 
 
 def _linear_growth(system, S, epsilon, p, curvature):
@@ -541,7 +540,7 @@ def check_growth(system: VectorFieldSystem, kind: str,
     """
     if kind not in _GROWTH_KINDS:
         raise ContractError(f"unknown growth profile kind {kind!r}")
-    _check_count("n_directions", n_directions)
+    check_whole("n_directions", n_directions)
     _check_finite("epsilon", epsilon)
     _check_finite("p", p)
     S = SampleSet.build(system.model, radii, n_directions)
@@ -682,10 +681,6 @@ def _verdict(theorem: str, conds: Sequence[ConditionCheck]) -> TheoremVerdict:
     )
 
 
-def _flat_metric(model: ManifoldModel) -> bool:
-    return isinstance(model, (FlatModel, PuncturedFlatModel)) and not isinstance(model, RescaledFlatModel)
-
-
 def _has_pole(model: ManifoldModel, curvature: CurvatureData) -> bool:
     return (isinstance(model, EmbeddedModel) and model._pole_distance is not None) \
         or curvature.pole is not None
@@ -703,7 +698,7 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     not applicable there; the rescaled metric carries no connection, so the
     derivative-form conditions are not applicable either.
     """
-    _check_count("n_directions", config.n_directions)
+    check_whole("n_directions", config.n_directions)
     _check_finite("epsilon", config.epsilon)
     _check_finite("p", config.p)
     model = system.model
@@ -802,18 +797,13 @@ def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     ])
 
 
-def _is_brownian(system: VectorFieldSystem, S: SampleSet) -> bool:
-    """X^*X = Id, probed at the first sample point."""
-    return isometry_defect(system, S.x[0]) <= ISOMETRY_TOL
-
-
 def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     model = system.model
     ric = _ricci_fn(model, config.curvature)
     if ric is None:
         return _na("Thm8.1", "Ricci curvature data unavailable")
     S = SampleSet.build(model, config.radii, config.n_directions)
-    if not _is_brownian(system, S):
+    if not isometry_defect(system, S.x[0]) <= ISOMETRY_TOL:   # X^*X = Id at the first point
         return _na("Thm8.1", "system is not a Brownian system (X^*X != Id)")
     return _verdict("Thm8.1", [
         S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
@@ -829,7 +819,7 @@ def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     if ric is None or not _has_pole(model, curvature):
         return _na("Thm8.2", "needs Ricci data and a pole configuration (cut locus avoided)")
     S = SampleSet.build(model, config.radii, config.n_directions)
-    if not _is_brownian(system, S):
+    if not isometry_defect(system, S.x[0]) <= ISOMETRY_TOL:   # X^*X = Id at the first point
         return _na("Thm8.2", "system is not a Brownian system (X^*X != Id)")
     z, _ = _z_field(system)
     r, dr, _ = pole_distance(model, curvature, S.x)
@@ -869,12 +859,7 @@ def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
 def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     """Flow-of-diffeomorphisms verdict: a strong-completeness certificate must
     hold for the system and for its adjoint."""
-    if system.is_gradient:
-        route = "Cor8.3"
-    elif _flat_metric(system.model):
-        route = "Cor5.2"
-    else:
-        route = "Thm8.1"
+    route = "Cor8.3" if system.is_gradient else "Cor5.2" if _flat_metric(system.model) else "Thm8.1"
     handler = _HANDLERS[route]
     fwd = handler(system, config)
     bwd = handler(adjoint(system), config)

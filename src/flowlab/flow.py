@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_whole
 from .geometry import EmbeddedModel, ManifoldModel, sum_last, vec_norm
 from .parallel import chunk_size, run_chunks
 from .systems import VectorFieldSystem, as_stratonovich
@@ -121,12 +121,16 @@ class BrownianDriver:
 
     The same (seed, stream, schedule) triple always reproduces bit-identical
     increments, and distinct streams are independent, so assigning stream ids
-    by path index gives reproducible parallel Monte Carlo.
+    by path index gives reproducible parallel Monte Carlo.  The seed and
+    the stream are 64-bit key words: ``ContractError`` outside [0, 2^64), so
+    no seed or ``for_path`` stream wraps round onto another's numbers.
     """
 
     def __init__(self, seed: int, dim: int, stream: int = 0):
-        self.seed = int(seed) % 2 ** 64
-        self.stream = int(stream) % 2 ** 64
+        check_whole("seed", seed, 0, 2 ** 64)
+        check_whole("stream", stream, 0, 2 ** 64)
+        self.seed = int(seed)
+        self.stream = int(stream)
         self.dim = int(dim)
 
     def generator(self) -> np.random.Generator:

@@ -20,7 +20,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import check_whole
 
 #: chunk size of a :func:`run_chunks` call that does not choose one
 DEFAULT_CHUNK = 1024
@@ -33,9 +33,8 @@ def _trampoline(span):
 
 
 def check_paths(n_paths) -> None:
-    """``ContractError`` unless n_paths is a whole number >= 1."""
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise ContractError(f"need a whole number of paths >= 1, got n_paths={n_paths!r}")
+    """``ContractError`` unless n_paths is a whole number >= 1 (not a bool)."""
+    check_whole("n_paths", n_paths)
 
 
 def chunk_size(n_paths: int, workers: int) -> int:

@@ -149,9 +149,7 @@ def convert_calculus(system: VectorFieldSystem, target: str) -> VectorFieldSyste
     def new_drift_jac(x, v):
         return fd_directional(new_drift, x, v)
 
-    return replace(system, drift=new_drift, drift_jacobian=new_drift_jac,
-                   calculus=target, z_drift=system.z_drift,
-                   z_drift_jacobian=system.z_drift_jacobian)
+    return replace(system, drift=new_drift, drift_jacobian=new_drift_jac, calculus=target)
 
 
 def as_stratonovich(system: VectorFieldSystem) -> VectorFieldSystem:

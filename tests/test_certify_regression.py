@@ -2,9 +2,11 @@
 
 ``data/certify_reference.json`` holds, for every built-in scenario, the full
 ``certify`` report over every theorem id (and an unknown one), plus
-``hp_report`` tables on four scenarios.  Every number must agree with it to
-1e-12 relative.  A worst point or failing sample must be the recorded one,
-or tie with it: both within ``criteria.TIE_TOLERANCE`` + 1e-12 relative of
+``hp_report`` tables on six scenarios (kunita and translation(3) pin the
+backend ``auto`` picks for a flat system and for a constant diffusion).
+Every number must agree with it to 1e-12 relative.  A worst point or failing
+sample must be the recorded one, or tie with it: both within
+``criteria.TIE_TOLERANCE`` + 1e-12 relative of
 the condition's maximum here.  The code names the first near-maximal point in
 band order, but where the ratio ties over several points (exactly, by
 symmetry, or up to finite-difference noise) which point comes first can hang
@@ -39,7 +41,8 @@ THEOREMS = ("Cor5.2", "Thm5.1", "Thm5.3", "Thm6.2", "Cor6.3", "Thm7.1", "Prop7.2
             "Thm8.1", "Thm8.2", "Cor8.3", "Diffeo", "Thm99.9")
 
 HP_CASES = {"ou(1)": ("auto",), "inversion_plane": ("auto",),
-            "sphere(3)": ("ricci", "gauss"), "paraboloid": ("auto",)}
+            "sphere(3)": ("ricci", "gauss"), "paraboloid": ("auto",),
+            "kunita": ("auto",), "translation(3)": ("auto",)}
 
 REL = 1e-12
 

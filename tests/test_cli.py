@@ -190,6 +190,11 @@ class TestConfigTable:
         assert cli.run("certify", {"scenario": "ou(1)", "seed": 2.0, "theorems": ["Cor5.2"]},
                        str(tmp_path)) == 0
         assert json.loads((tmp_path / "certify.json").read_text())["seed"] == 2.0
+        # and draws seed 2's numbers, although the driver takes only an int
+        for seed, out in ((2.0, "a"), (2, "b")):
+            assert cli.run("simulate", {"scenario": "ou(1)", "seed": seed, "paths": 2, "t": 0.02,
+                                        "dt": 0.01}, str(tmp_path / out), fmt="csv") == 0
+        assert (tmp_path / "a" / "simulate.csv").read_bytes() == (tmp_path / "b" / "simulate.csv").read_bytes()
         # a whole-number float count reaches the library, which wants an int
         with pytest.raises(ContractError):
             cli.run("derivative-moments", {"paths": 3.0, "t": 0.01, "dt": 0.01}, str(tmp_path))
@@ -395,6 +400,14 @@ class TestReports:
         rep = json.loads((out / "certify.json").read_text())
         entry = rep["results"]["entries"][0]
         assert entry["theorem"] == "Cor5.2" and entry["status"] == "certified"
+
+    def test_hp_scan_reports_not_applicable_as_certify_does(self, tmp_path, capsys):
+        # no H_p backend applies to the rescaled plane; hp-scan used to exit 2
+        assert cli.main(["hp-scan", "--scenario", "rescaled_punctured_plane",
+                         "--out", str(tmp_path)]) == 0
+        (entry,) = json.loads((tmp_path / "hp-scan.json").read_text())["results"]["reports"]
+        assert entry["backend"] == "auto" and entry["values"] == [] and entry["max_ratio"] is None
+        assert "euclidean backend needs a flat model" in entry["reason"]
 
     def test_user_system_spec(self, tmp_path):
         spec = tmp_path / "kunita.json"

@@ -161,6 +161,33 @@ def test_estimators_need_a_path(n_paths):
         estimate_sup_derivative_moment(ou.system, [1.0], 1.0, 0.1, n_paths, seed=0, dt=0.01)
 
 
+@pytest.mark.parametrize("n_paths", [True, False])
+def test_a_bool_is_no_path_count(n_paths):
+    # True used to run one path, since a bool is an int
+    ou = builtin("ou(1)")
+    with pytest.raises(ContractError):
+        estimate_sup_derivative_moment(ou.system, [1.0], 1.0, 0.02, n_paths, seed=0, dt=0.01)
+    with pytest.raises(ContractError):
+        flow.run_paths(ou.system, [1.0], schedule_for(0.02, 0.01), n_paths, 0, chunk=None)
+
+
+@given(st.integers(max_value=-1) | st.integers(min_value=2 ** 64) | st.booleans()
+       | st.just(2.0) | st.just("3"), st.booleans())
+def test_seeds_and_streams_are_64_bit_words(bad, as_stream):
+    # BrownianDriver(2**64, 1) used to draw seed 0's numbers, and -1 ran
+    with pytest.raises(ContractError):
+        BrownianDriver(0, 1, stream=bad) if as_stream else BrownianDriver(bad, 1)
+
+
+def test_path_streams_end_at_the_last_64_bit_word():
+    # stream 2^64 used to wrap round to stream 0
+    last = BrownianDriver(3, 1, stream=2 ** 64 - 2).for_path(1)
+    assert (last.seed, last.stream) == (3, 2 ** 64 - 1)
+    with pytest.raises(ContractError):
+        last.for_path(1)
+    assert BrownianDriver(np.uint64(2 ** 64 - 1), 1, stream=np.int64(0)).seed == 2 ** 64 - 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4))
 def test_point_dimension_must_match_the_system(dim, n_components):

@@ -132,6 +132,56 @@ class TestEvalHp:
         with pytest.raises(CapabilityError):
             eval_Hp(tr, np.zeros(2), np.ones(2), 2.0, backend="ricci")
 
+    def test_auto_names_every_backend_when_none_applies(self):
+        # the rescaled plane is neither flat nor embedded and has no Ricci
+        # data; auto used to try euclidean only
+        system = builtin("rescaled_punctured_plane").system
+        with pytest.raises(CapabilityError) as exc:
+            eval_Hp(system, np.ones(2), np.ones(2), 2.0, backend="auto")
+        for name in ("gauss", "euclidean", "ricci"):
+            assert f"{name} backend" in str(exc.value)
+        with pytest.raises(CapabilityError, match="unknown H_p backend"):
+            eval_Hp(builtin("ou(1)").system, np.ones(1), np.ones(1), 2.0, backend="bogus")
+
+    def test_auto_runs_no_later_backend_check(self, monkeypatch):
+        # gauss applies to sphere(3), so ricci's isometry check is never run
+        def forbidden(*args):
+            raise AssertionError("the isometry defect was computed")
+
+        monkeypatch.setattr(flowlab.criteria, "isometry_defect", forbidden)
+        scn = builtin("sphere(3)")
+        x, v = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        assert eval_Hp(scn.system, x, v, 2.0, curvature=scn.curvature) \
+            == eval_Hp(scn.system, x, v, 2.0, backend="gauss")
+        with pytest.raises(AssertionError):
+            eval_Hp(scn.system, x, v, 2.0, backend="ricci", curvature=scn.curvature)
+
+    def test_a_constant_diffusion_forms_no_column_jacobians(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the column jacobians were formed")
+
+        tr = builtin("translation(3)").system
+        x, v = np.ones((5, 3)), np.arange(15.0).reshape(5, 3) - 4.0
+        want = eval_Hp(tr, x, v, 1.5)
+        assert want.shape == (5,) and not np.any(want)
+        monkeypatch.setattr(type(tr), "column_jacobians", forbidden)
+        assert eval_Hp(tr, x, v, 1.5).tobytes() == want.tobytes()
+        assert certify(tr, CertifyConfig(theorems=("Cor5.2", "Thm6.2"))).entries[0].status == "certified"
+
+    def test_hp_report_marks_a_backend_that_does_not_apply(self):
+        scn = builtin("sphere(3)")
+        x = np.array([0.6, 0.0, 0.8])
+        samples = [(x, v) for v in tangent_directions(scn.model, x, 4)]
+        both = hp_report(scn.system, samples, p=2.0, backends=("ricci", "gauss"),
+                         curvature=scn.curvature)
+        reports = hp_report(scn.system, samples, p=2.0, backends=("ricci", "euclidean", "gauss"),
+                            curvature=scn.curvature)
+        assert [r.to_dict() for r in (reports[0], reports[2])] == [r.to_dict() for r in both]
+        flat = reports[1].to_dict()
+        assert flat["reason"] == "euclidean backend needs a flat model"
+        assert flat["values"] == [] and flat["max_ratio"] is None and flat["disagreement"] is None
+        assert "reason" not in both[0].to_dict()
+
     def test_backend_agreement_report(self):
         scn = builtin("sphere(3)")
         rng = np.random.default_rng(4)
