@@ -29,7 +29,9 @@ TANGENCY_TOL = 1e-8
 def sum_last(p: Array) -> Array:
     """``np.sum(p, axis=-1)`` bit for bit: on float axes shorter than 8 numpy
     adds left to right from +0.0, done here with one ufunc call per component
-    instead of a reduction loop per row."""
+    instead of a reduction loop per row.  Which NaN an add of two NaNs returns
+    depends on numpy's inner loop (one-element, strided and tail elements
+    differ), so a sum with a NaN anywhere is left to ``np.sum``."""
     p = np.asarray(p)
     n = p.shape[-1]
     if p.dtype.kind != "f" or not 0 < n < 8:
@@ -37,6 +39,8 @@ def sum_last(p: Array) -> Array:
     acc = p[..., 0] + 0.0
     for i in range(1, n):
         acc += p[..., i]
+    if np.isnan(acc).any():
+        return np.sum(p, axis=-1)
     return acc[()]
 
 
