@@ -326,7 +326,10 @@ def _cmd_hp_scan(cfg, scenario, workers):
         radii = cfg.get("radii") or [0.5, 1.0, 2.0, 4.0]
         dirs = criteria.direction_sample(model.ambient_dim, 8)
         points = np.concatenate([r * dirs for r in radii])
-    samples = [(x, v) for x in points for v in criteria.tangent_directions(model, x, 4)]
+    samples = []
+    for x in points:
+        for v in criteria.tangent_directions(model, x, 4):
+            samples.append((x, v))
     reports = criteria.hp_report(scenario.system, samples, p=cfg["p"],
                                  backends=backends, curvature=scenario.curvature)
     return {"reports": [r.to_dict() for r in reports]}, None, False

@@ -172,8 +172,11 @@ def _column_terms(system: VectorFieldSystem, x: Array, v: Array, directional: bo
     model = system.model
     if isinstance(model, EmbeddedModel):
         J = np.stack([model.tangent_project(x, J[..., i]) for i in range(J.shape[-1])], axis=-1)
-    inner = np.einsum("...im,...i->...m", J, v) if directional else None
-    return np.sum(J * J, axis=(-2, -1)), None if inner is None else np.sum(inner * inner, axis=-1)
+    hs = np.sum(J * J, axis=(-2, -1))
+    if not directional:
+        return hs, None
+    inner = np.einsum("...im,...i->...m", J, v)
+    return hs, np.sum(inner * inner, axis=-1)
 
 
 def _grad_x_sq(system: VectorFieldSystem, x: Array, v: Array) -> Array:
@@ -185,8 +188,13 @@ def _z_field(system: VectorFieldSystem):
     """The Brownian-with-drift field Z = A^X and its directional derivative."""
     if system.z_drift is not None and system.z_drift_jacobian is not None:
         return system.z_drift, system.z_drift_jacobian
-    z = effective_drift(system).a_x
-    return z, partial(fd_directional, z)
+    dec = effective_drift(system)
+    z = dec.a_x
+
+    def zjac(x, v):
+        return fd_directional(z, x, v)
+
+    return z, zjac
 
 
 def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
@@ -201,7 +209,9 @@ def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
 def _ricci_fn(model: ManifoldModel, curvature: Optional[CurvatureData]):
     if curvature is not None and curvature.ricci is not None:
         return curvature.ricci
-    return model.ricci if isinstance(model, EmbeddedModel) else None
+    if isinstance(model, EmbeddedModel) and model.ricci is not None:
+        return model.ricci
+    return None
 
 
 def _gauss(system: VectorFieldSystem, x, v, p, nv2, curvature) -> Array:
@@ -313,16 +323,20 @@ def hp_report(system: VectorFieldSystem, samples, p: float,
     _check_finite("p", p)
     xs = np.array([np.ravel(x) for x, _ in samples], dtype=float)
     vs = np.array([np.ravel(v) for _, v in samples], dtype=float)
+    for b in backends:   # a misspelt name is malformed input, not a backend that does not apply
+        if b != "auto" and b not in _HP_BACKENDS:
+            raise CapabilityError(f"unknown H_p backend {b!r}")
     reports, tables = [], []
     for b in backends:
         try:
             vals = eval_Hp(system, xs, vs, p, backend=b, curvature=curvature)
         except CapabilityError as exc:
-            reports.append(HpReport(b, p, xs.tolist(), [], None, reason=str(exc)))
+            reports.append(HpReport(backend=b, p=p, points=xs.tolist(), values=[],
+                                    max_ratio=None, reason=str(exc)))
             continue
         tables.append(vals)
-        reports.append(HpReport(b, p, xs.tolist(), vals.tolist(),
-                                float(np.max(vals / np.sum(vs * vs, axis=-1)))))
+        reports.append(HpReport(backend=b, p=p, points=xs.tolist(), values=vals.tolist(),
+                                max_ratio=float(np.max(vals / np.sum(vs * vs, axis=-1)))))
     if len(tables) >= 2:
         arr = np.array(tables)
         dis = float(np.max(np.abs(arr - arr[0])))
@@ -797,13 +811,18 @@ def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     ])
 
 
+def _is_brownian(system: VectorFieldSystem, S: SampleSet) -> bool:
+    """X^*X = Id, probed at the first sample point."""
+    return isometry_defect(system, S.x[0]) <= ISOMETRY_TOL
+
+
 def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     model = system.model
     ric = _ricci_fn(model, config.curvature)
     if ric is None:
         return _na("Thm8.1", "Ricci curvature data unavailable")
     S = SampleSet.build(model, config.radii, config.n_directions)
-    if not isometry_defect(system, S.x[0]) <= ISOMETRY_TOL:   # X^*X = Id at the first point
+    if not _is_brownian(system, S):
         return _na("Thm8.1", "system is not a Brownian system (X^*X != Id)")
     return _verdict("Thm8.1", [
         S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
@@ -819,7 +838,7 @@ def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     if ric is None or not _has_pole(model, curvature):
         return _na("Thm8.2", "needs Ricci data and a pole configuration (cut locus avoided)")
     S = SampleSet.build(model, config.radii, config.n_directions)
-    if not isometry_defect(system, S.x[0]) <= ISOMETRY_TOL:   # X^*X = Id at the first point
+    if not _is_brownian(system, S):
         return _na("Thm8.2", "system is not a Brownian system (X^*X != Id)")
     z, _ = _z_field(system)
     r, dr, _ = pole_distance(model, curvature, S.x)
@@ -859,7 +878,12 @@ def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
 def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
     """Flow-of-diffeomorphisms verdict: a strong-completeness certificate must
     hold for the system and for its adjoint."""
-    route = "Cor8.3" if system.is_gradient else "Cor5.2" if _flat_metric(system.model) else "Thm8.1"
+    if system.is_gradient:
+        route = "Cor8.3"
+    elif _flat_metric(system.model):
+        route = "Cor5.2"
+    else:
+        route = "Thm8.1"
     handler = _HANDLERS[route]
     fwd = handler(system, config)
     bwd = handler(adjoint(system), config)

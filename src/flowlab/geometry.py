@@ -13,6 +13,7 @@ axis is the ambient coordinate axis, leading axes are batch axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +40,7 @@ def sum_last(p: Array) -> Array:
     acc = p[..., 0] + 0.0
     for i in range(1, n):
         acc += p[..., i]
-    if np.isnan(acc).any():
+    if math.isnan(acc.sum()):   # NaN wherever acc holds one (or +inf and -inf)
         return np.sum(p, axis=-1)
     return acc[()]
 

@@ -149,7 +149,9 @@ def convert_calculus(system: VectorFieldSystem, target: str) -> VectorFieldSyste
     def new_drift_jac(x, v):
         return fd_directional(new_drift, x, v)
 
-    return replace(system, drift=new_drift, drift_jacobian=new_drift_jac, calculus=target)
+    return replace(system, drift=new_drift, drift_jacobian=new_drift_jac,
+                   calculus=target, z_drift=system.z_drift,
+                   z_drift_jacobian=system.z_drift_jacobian)
 
 
 def as_stratonovich(system: VectorFieldSystem) -> VectorFieldSystem:

@@ -409,6 +409,13 @@ class TestReports:
         assert entry["backend"] == "auto" and entry["values"] == [] and entry["max_ratio"] is None
         assert "euclidean backend needs a flat model" in entry["reason"]
 
+    def test_hp_scan_rejects_a_misspelt_backend(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "ou(1)", "backends": ["eucldean"]}))
+        assert cli.main(["hp-scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown H_p backend 'eucldean'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "hp-scan.json").exists()
+
     def test_user_system_spec(self, tmp_path):
         spec = tmp_path / "kunita.json"
         spec.write_text(json.dumps({

@@ -182,6 +182,13 @@ class TestEvalHp:
         assert flat["values"] == [] and flat["max_ratio"] is None and flat["disagreement"] is None
         assert "reason" not in both[0].to_dict()
 
+    def test_hp_report_rejects_an_unknown_backend_name(self):
+        scn = builtin("sphere(3)")
+        x = np.array([0.6, 0.0, 0.8])
+        samples = [(x, v) for v in tangent_directions(scn.model, x, 4)]
+        with pytest.raises(CapabilityError, match="unknown H_p backend 'eucldean'"):
+            hp_report(scn.system, samples, p=2.0, backends=("gauss", "eucldean"))
+
     def test_backend_agreement_report(self):
         scn = builtin("sphere(3)")
         rng = np.random.default_rng(4)
