@@ -40,7 +40,7 @@ def sum_last(p: Array) -> Array:
     acc = p[..., 0] + 0.0
     for i in range(1, n):
         acc += p[..., i]
-    if math.isnan(acc.sum()):   # NaN wherever acc holds one (or +inf and -inf)
+    if math.isnan(np.vdot(acc, acc)):   # NaN exactly where acc holds one
         return np.sum(p, axis=-1)
     return acc[()]
 
