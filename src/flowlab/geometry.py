@@ -13,7 +13,6 @@ axis is the ambient coordinate axis, leading axes are batch axes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,9 +29,7 @@ TANGENCY_TOL = 1e-8
 def sum_last(p: Array) -> Array:
     """``np.sum(p, axis=-1)`` bit for bit: on float axes shorter than 8 numpy
     adds left to right from +0.0, done here with one ufunc call per component
-    instead of a reduction loop per row.  Which NaN an add of two NaNs returns
-    depends on numpy's inner loop (one-element, strided and tail elements
-    differ), so a sum with a NaN anywhere is left to ``np.sum``."""
+    instead of a reduction loop per row."""
     p = np.asarray(p)
     n = p.shape[-1]
     if p.dtype.kind != "f" or not 0 < n < 8:
@@ -40,8 +37,6 @@ def sum_last(p: Array) -> Array:
     acc = p[..., 0] + 0.0
     for i in range(1, n):
         acc += p[..., i]
-    if math.isnan(np.vdot(acc, acc)):   # NaN exactly where acc holds one
-        return np.sum(p, axis=-1)
     return acc[()]
 
 
