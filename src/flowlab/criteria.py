@@ -576,8 +576,11 @@ class ScalarField:
     hessian: Callable[[Array], Array]
 
 
-def scalar_field(value, grad=None, hessian=None, dim: Optional[int] = None) -> ScalarField:
-    """Wrap a scalar function, filling in derivatives by central differences."""
+def scalar_field(value, grad=None, hessian=None) -> ScalarField:
+    """Wrap a scalar function, filling in derivatives by central differences.
+
+    The filled-in derivatives take a point (d,) or a batch (..., d); each
+    point steps by its own h along every axis."""
     if grad is None:
         def grad(x, _f=value):
             x = np.asarray(x, dtype=float)
@@ -586,13 +589,13 @@ def scalar_field(value, grad=None, hessian=None, dim: Optional[int] = None) -> S
             for i in range(x.shape[-1]):
                 e = np.zeros(x.shape[-1])
                 e[i] = 1.0
-                out[..., i] = (_f(x + h * e) - _f(x - h * e)) / (2.0 * h)
+                out[..., i] = (_f(x + h[..., None] * e) - _f(x - h[..., None] * e)) / (2.0 * h)
             return out
     if hessian is None:
         def hessian(x, _g=grad):
             x = np.asarray(x, dtype=float)
             d = x.shape[-1]
-            h = 1e-5 * (1.0 + vec_norm(x))
+            h = 1e-5 * (1.0 + vec_norm(x))[..., None]
             out = np.empty(x.shape[:-1] + (d, d))
             for i in range(d):
                 e = np.zeros(d)

@@ -11,11 +11,12 @@ grow with the horizon, since ``flow.NoiseSource`` draws each path's noise a
 block of steps at a time.
 Workers use the fork start method and read the active chunk function from a
 module global, so closures over systems and schedules need no pickling.
+``multiprocessing`` is imported by the first :func:`run_chunks` call that
+forks, so a process that runs every chunk inline never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Dict
 
 import numpy as np
@@ -52,6 +53,8 @@ def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],
     if workers <= 1 or len(spans) == 1:
         parts = [fn(lo, hi) for lo, hi in spans]
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         _ACTIVE_FN = fn
         try:

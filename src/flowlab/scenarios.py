@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
 from .errors import ContractError
-from .flow import BrownianDriver, StepSchedule
 from .geometry import (
     CurvatureData,
     FlatModel,
@@ -32,6 +31,9 @@ from .systems import (
     zero_field,
     zero_jacobian,
 )
+
+if TYPE_CHECKING:
+    from .flow import BrownianDriver, StepSchedule
 
 Array = np.ndarray
 
@@ -382,7 +384,8 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     (1e-13 of 1 + the RMS size of the exact end states), as for an exact
     scheme or a fixed point.
     """
-    from .flow import NOISE_BLOCK, NoiseSource, Stepper, refill_steps, schedule_for, start_points
+    from .flow import (BrownianDriver, NOISE_BLOCK, NoiseSource, Stepper, refill_steps,
+                       schedule_for, start_points)
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")

@@ -281,6 +281,19 @@ class TestLyapunov:
         cert = bound.certificate(c=1.0, g0=0.0, t=2.0)
         assert cert == pytest.approx(np.exp(bound.k * 2.0))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (3, 3), (4, 3, 2)])
+    def test_finite_differences_of_a_batch_are_those_of_each_point(self, shape):
+        # a batch of exactly d points once stepped point j along axis j
+        g = scalar_field(lambda x: np.log1p(np.sum(x * x, axis=-1)) + x[..., 0] * x[..., 1] ** 3)
+        x = np.random.default_rng(5).normal(size=shape) * 2.0
+        points = x.reshape(-1, shape[-1])
+        grad, hess = g.grad(x), g.hessian(x)
+        assert grad.shape == shape and hess.shape == shape + shape[-1:]
+        assert grad.reshape(-1, shape[-1]).tobytes() == \
+            np.stack([g.grad(p) for p in points]).tobytes()
+        assert hess.reshape(-1, shape[-1], shape[-1]).tobytes() == \
+            np.stack([g.hessian(p) for p in points]).tobytes()
+
 
 class TestCertify:
     def test_ou_certified(self):
