@@ -41,7 +41,7 @@ from .flow import (
     schedule_for,
     write_trajectory_csv,
 )
-from .geometry import CurvatureData, EmbeddedModel
+from .geometry import CurvatureData
 from .parallel import check_paths
 from .scenarios import Scenario, builtin, oracle_convergence_study, scenario_listing
 from .semigroup import observable
@@ -165,13 +165,10 @@ def _sanitize(obj):
 
 
 def _default_point(scenario: Scenario):
-    """A sphere's north pole e_d, another embedded model's retraction of e_1,
-    and e_1 elsewhere."""
-    model = scenario.model
-    e = np.eye(model.ambient_dim)
-    if isinstance(model, EmbeddedModel):
-        return e[-1] if scenario.name.startswith("sphere") else model.retract(e[0])
-    return e[0]
+    """A sphere's north pole e_d, elsewhere the model's retraction of e_1
+    (e_1 itself on flat-family models)."""
+    e = np.eye(scenario.model.ambient_dim)
+    return e[-1] if scenario.name.startswith("sphere") else scenario.model.retract(e[0])
 
 
 def _resolve_grid(cfg: dict, scenario: Scenario):
@@ -232,10 +229,7 @@ def _cmd_simulate(cfg, scenario, workers):
     x0 = np.asarray(cfg.get("x0") or _default_point(scenario), dtype=float)
     v0 = cfg.get("v0")
     if v0 is None:
-        v0 = np.zeros_like(x0)
-        v0[0] = 1.0
-        if isinstance(scenario.model, EmbeddedModel):
-            v0 = scenario.model.tangent_project(x0, v0)
+        v0 = scenario.model.tangent_project(x0, np.eye(len(x0))[0])
     x, dW = chunk_paths(BrownianDriver(cfg["seed"], scenario.system.noise_dim), 0,
                         cfg["paths"], sched, x0)
     res = record_trajectory(scenario.system, x, dW, sched,
@@ -319,7 +313,7 @@ def _cmd_certify(cfg, scenario, workers):
 def _cmd_hp_scan(cfg, scenario, workers):
     backends = cfg.get("backends") or ["auto"]
     model = scenario.model
-    if isinstance(model, EmbeddedModel) and model.sampler is not None:
+    if model.sampler is not None:
         rng = np.random.Generator(np.random.Philox(key=np.array([cfg["seed"], 0x4B], dtype=np.uint64)))
         points = model.sampler(rng, 16)
     else:

@@ -7,7 +7,9 @@ certificate issued here is labeled ``sampled-only`` evidence; "failed" means a
 diverging trend or an explicit witness was found on the sample set.
 
 Every condition is evaluated in one broadcast call over a ``SampleSet``: the
-points of all radius bands in band order with their tangent directions.
+points of all radius bands in band order with their tangent directions.  A
+``certify`` request builds one set, for the first theorem that needs it, and
+shares it with the rest (``Diffeo``'s adjoint too); ``check_growth`` builds its own.
 Per-direction values are reduced to a per-point ratio (the max over kept
 directions), then to the per-band maxima, the global maximum and the first
 point in band order that attains it up to ``TIE_TOLERANCE``.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -199,19 +201,13 @@ def _z_field(system: VectorFieldSystem):
 
 def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
     z, zjac = _z_field(system)
-    dz = np.asarray(zjac(x, v), dtype=float)
-    model = system.model
-    if isinstance(model, EmbeddedModel):
-        dz = model.tangent_project(x, dz)
+    dz = system.model.tangent_project(x, np.asarray(zjac(x, v), dtype=float))
     return np.sum(dz * v, axis=-1)
 
 
 def _ricci_fn(model: ManifoldModel, curvature: Optional[CurvatureData]):
-    if curvature is not None and curvature.ricci is not None:
-        return curvature.ricci
-    if isinstance(model, EmbeddedModel) and model.ricci is not None:
-        return model.ricci
-    return None
+    """Ric(v, v) from the curvature data, else the model's own (or None)."""
+    return getattr(curvature, "ricci", None) or model.ricci
 
 
 def _gauss(system: VectorFieldSystem, x, v, p, nv2, curvature) -> Array:
@@ -394,9 +390,14 @@ class SampleSet:
 
     @classmethod
     def build(cls, model: ManifoldModel, radii: Sequence[float], n_directions: int) -> "SampleSet":
+        """The sample set of a model on a radius ladder; ``ContractError``
+        unless the ladder is nonempty, finite, > 0 and strictly increasing."""
+        r = np.array(radii, dtype=float)
+        if r.ndim != 1 or not r.size or not np.all(np.isfinite(r) & (r > 0)) or np.any(np.diff(r) <= 0):
+            raise ContractError(f"radii must be nonempty, finite, > 0 and increasing, got {radii!r}")
         bands = sample_states(model, radii, n_directions)
         if not bands:
-            raise ContractError("the sample set is empty: give at least one radius")
+            raise ContractError("the sample set is empty: the model's sampler gave no points")
         x = np.concatenate(bands)
         dirs, keep = _directions_at(model, x, n_directions)
         bare = ~keep.any(axis=-1)
@@ -404,6 +405,8 @@ class SampleSet:
             raise ContractError("no tangent direction survives the projection at sample point "
                                 f"{x[np.argmax(bare)].tolist()}")
         starts = np.cumsum([0] + [len(b) for b in bands[:-1]])
+        for a in (x, keep):     # shared by every theorem of a request
+            a.setflags(write=False)
         return cls(x=x, dirs=dirs, keep=keep, starts=starts)
 
     def sup_dirs(self, fn: Callable[[Array, Array], Array]) -> Array:
@@ -621,9 +624,11 @@ def lyapunov_drift_bound(system: VectorFieldSystem, g: ScalarField, points) -> L
     with the Ito-form drift; finite k certifies E e^{c g(x_{t^tau})} <= e^{c(g(x0)+kt)}."""
     if isinstance(system.model, EmbeddedModel):
         raise CapabilityError("the drift bound is computed in flat coordinates")
+    pts = list(points)
+    if not pts:
+        raise ContractError("the drift bound needs at least one sample point")
     s = as_ito(system)
     best, best_x = -np.inf, None
-    pts = list(points)
     for x in pts:
         x = np.asarray(x, dtype=float)
         dg = np.asarray(g.grad(x), dtype=float)
@@ -698,11 +703,6 @@ def _verdict(theorem: str, conds: Sequence[ConditionCheck]) -> TheoremVerdict:
     )
 
 
-def _has_pole(model: ManifoldModel, curvature: CurvatureData) -> bool:
-    return (isinstance(model, EmbeddedModel) and model._pole_distance is not None) \
-        or curvature.pole is not None
-
-
 def _na(theorem: str, reason: str) -> TheoremVerdict:
     return TheoremVerdict(theorem=theorem, status="not-applicable", reason=reason)
 
@@ -713,12 +713,16 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
 
     Punctured models are metrically incomplete, so completeness theorems are
     not applicable there; the rescaled metric carries no connection, so the
-    derivative-form conditions are not applicable either.
+    derivative-form conditions are not applicable either.  Theorem ids are read
+    one at a time (a bare string is a ``ContractError``).
     """
+    if isinstance(config.theorems, str):
+        raise ContractError(f"theorems is a sequence of theorem ids, got the string {config.theorems!r}")
     check_whole("n_directions", config.n_directions)
     _check_finite("epsilon", config.epsilon)
     _check_finite("p", config.p)
     model = system.model
+    samples = cache(lambda: SampleSet.build(model, config.radii, config.n_directions))
     entries: List[TheoremVerdict] = []
     for theorem in config.theorems:
         handler = _HANDLERS.get(theorem)
@@ -730,16 +734,16 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
             entries.append(_na(theorem, "unknown theorem id"))
         else:
             try:
-                entries.append(handler(system, config))
+                entries.append(handler(system, config, samples))
             except CapabilityError as exc:
                 entries.append(_na(theorem, str(exc)))
     return VerdictReport(entries=entries)
 
 
-def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     if not _has_r_term(system, config.curvature):
         return _na("Cor5.2", "curvature term unavailable (need flat model or Ricci data)")
-    S = SampleSet.build(system.model, config.radii, config.n_directions)
+    S = samples()
     return _verdict("Cor5.2", [
         S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
         S.condition("drift_curvature_upper_bound",
@@ -747,13 +751,13 @@ def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     ])
 
 
-def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     """Constant-f instance: find c with |grad X|^2 <= c and H_p <= 6 p c on samples.
 
     With f = c constant, the exponential-functional hypothesis holds
     automatically, so the certificate reduces to the two pointwise bounds.
     """
-    S = SampleSet.build(system.model, config.radii, config.n_directions)
+    S = samples()
     p = config.p
     cond_g = S.condition("grad_X_sq_bounded", S.sup_dirs(partial(_grad_x_sq, system)))
     cond_h = S.condition("H_p_over_6p", S.sup_dirs(_hp_fn(system, p, config.curvature)) / (6.0 * p))
@@ -763,44 +767,39 @@ def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     return verdict
 
 
-def _certify_thm53(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
-    prof = check_growth(system, "h_bound", p=1.0, radii=config.radii,
-                        n_directions=config.n_directions, curvature=config.curvature)
-    return _verdict("Thm5.3", prof.conditions)
+def _certify_thm53(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
+    return _verdict("Thm5.3", _h_bound(system, samples(), config.epsilon, 1.0, config.curvature))
 
 
-def _certify_thm62(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_thm62(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     if not _flat_metric(system.model):
         return _na("Thm6.2", "stated for flat space")
-    kw = dict(radii=config.radii, n_directions=config.n_directions, curvature=config.curvature)
-    return _verdict("Thm6.2", check_growth(system, "linear_growth", **kw).conditions
-                    + check_growth(system, "sublog_derivative", **kw).conditions)
+    args = (system, samples(), config.epsilon, config.p, config.curvature)
+    return _verdict("Thm6.2", _linear_growth(*args) + _sublog_derivative(*args))
 
 
-def _certify_cor63(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_cor63(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     if not _flat_metric(system.model):
         return _na("Cor6.3", "stated for flat space")
-    prof = check_growth(system, "epsilon_exponent", epsilon=config.epsilon, radii=config.radii,
-                        n_directions=config.n_directions, curvature=config.curvature)
-    return _verdict("Cor6.3", prof.conditions)
+    return _verdict("Cor6.3", _epsilon_exponent(system, samples(), config.epsilon, config.p,
+                                                config.curvature))
 
 
-def _certify_thm71(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_thm71(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     curvature = config.curvature or CurvatureData()
-    if not _has_pole(system.model, curvature):
+    if system.model.distance_to_pole(curvature) is None:
         return _na("Thm7.1", "no pole data available")
-    prof = check_growth(system, "pole_conditions", radii=config.radii,
-                        n_directions=config.n_directions, curvature=curvature)
-    return _verdict("Thm7.1", prof.conditions)
+    return _verdict("Thm7.1", _pole_conditions(system, samples(), config.epsilon, config.p,
+                                               curvature))
 
 
-def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     curvature = config.curvature or CurvatureData()
     model = system.model
-    if not _has_pole(model, curvature):
+    if model.distance_to_pole(curvature) is None:
         return _na("Prop7.2", "no pole data available")
     eps = config.epsilon
-    S = SampleSet.build(model, config.radii, config.n_directions)
+    S = samples()
     r, dr, hess = pole_distance(model, curvature, S.x)
     z, _ = _z_field(system)
     return _verdict("Prop7.2", [
@@ -819,12 +818,11 @@ def _is_brownian(system: VectorFieldSystem, S: SampleSet) -> bool:
     return isometry_defect(system, S.x[0]) <= ISOMETRY_TOL
 
 
-def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
-    model = system.model
-    ric = _ricci_fn(model, config.curvature)
+def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
+    ric = _ricci_fn(system.model, config.curvature)
     if ric is None:
         return _na("Thm8.1", "Ricci curvature data unavailable")
-    S = SampleSet.build(model, config.radii, config.n_directions)
+    S = samples()
     if not _is_brownian(system, S):
         return _na("Thm8.1", "system is not a Brownian system (X^*X != Id)")
     return _verdict("Thm8.1", [
@@ -834,13 +832,13 @@ def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     ])
 
 
-def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     model = system.model
     curvature = config.curvature or CurvatureData()
     ric = _ricci_fn(model, curvature)
-    if ric is None or not _has_pole(model, curvature):
+    if ric is None or model.distance_to_pole(curvature) is None:
         return _na("Thm8.2", "needs Ricci data and a pole configuration (cut locus avoided)")
-    S = SampleSet.build(model, config.radii, config.n_directions)
+    S = samples()
     if not _is_brownian(system, S):
         return _na("Thm8.2", "system is not a Brownian system (X^*X != Id)")
     z, _ = _z_field(system)
@@ -857,11 +855,10 @@ def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     ])
 
 
-def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
-    model = system.model
-    if not (isinstance(model, EmbeddedModel) and system.is_gradient):
+def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
+    if not (isinstance(system.model, EmbeddedModel) and system.is_gradient):
         return _na("Cor8.3", "stated for gradient Brownian systems of embeddings")
-    S = SampleSet.build(model, config.radii, config.n_directions)
+    S = samples()
     z, _ = _z_field(system)
     # ambient distance to the first sample stands in for the intrinsic one (lower bound)
     r = vec_norm(S.x - S.x[0])
@@ -878,7 +875,7 @@ def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig) -> TheoremV
     return verdict
 
 
-def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> TheoremVerdict:
+def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
     """Flow-of-diffeomorphisms verdict: a strong-completeness certificate must
     hold for the system and for its adjoint."""
     if system.is_gradient:
@@ -888,8 +885,8 @@ def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     else:
         route = "Thm8.1"
     handler = _HANDLERS[route]
-    fwd = handler(system, config)
-    bwd = handler(adjoint(system), config)
+    fwd = handler(system, config, samples)
+    bwd = handler(adjoint(system), config, samples)
     if fwd.status == "not-applicable" or bwd.status == "not-applicable":
         return _na("Diffeo", f"route {route} not applicable")
     status = "certified" if fwd.status == bwd.status == "certified" else "failed"
@@ -902,8 +899,9 @@ def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig) -> Theorem
     return out
 
 
-#: theorem id -> handler(system, config) -> TheoremVerdict
-_HANDLERS: Dict[str, Callable[[VectorFieldSystem, CertifyConfig], TheoremVerdict]] = {
+#: theorem id -> handler(system, config, samples) -> TheoremVerdict, where
+#: samples() is the request's one SampleSet, built on first call
+_HANDLERS: Dict[str, Callable[..., TheoremVerdict]] = {
     "Cor5.2": _certify_cor52,
     "Thm5.1": _certify_thm51,
     "Thm5.3": _certify_thm53,

@@ -226,9 +226,8 @@ def _frame_scan(system: VectorFieldSystem, x: Array, dW: Array, dt: float, r_exp
     relative to the start, for the paths ``rows`` of the chunk (an index
     array; ``slice(None)`` for all of them)."""
     model = system.model
-    # orthonormal start frames: the tangent frames (G, k, d) of an embedded model
-    frames = np.swapaxes(model.tangent_frame(x[0]), -1, -2) \
-        if isinstance(model, EmbeddedModel) else np.eye(x.shape[-1])
+    # orthonormal start frames: the model's tangent frames (G, k, d)
+    frames = np.swapaxes(model.tangent_frame(x[0]), -1, -2)
     U = np.broadcast_to(frames, x.shape[:-1] + frames.shape[-2:]).copy()
     L = np.zeros(U.shape[:-1])                                # log-lengths (C, G, k)
     base = np.asarray(model.log_metric_factor(x))
@@ -417,18 +416,6 @@ class RadialMomentResult:
                 "exit_bounds": self.exit_bounds, "r0": self.r0, "p": self.p, "t": self.t}
 
 
-def _radial_fn(system: VectorFieldSystem, curvature: CurvatureData):
-    model = system.model
-    if isinstance(model, EmbeddedModel):
-        if model._pole_distance is None:
-            raise CapabilityError("radial estimates need closed-form pole distance")
-        return lambda x: model._pole_distance(x)[0]
-    if curvature.pole is None:
-        raise CapabilityError("radial estimates need a pole in CurvatureData")
-    pole = np.asarray(curvature.pole, dtype=float)
-    return lambda x: vec_norm(np.asarray(x, dtype=float) - pole)
-
-
 def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, x0,
                            p: float, t: float, n_paths: int, seed: int,
                            dt: float = 1e-3, radius_ladder: Sequence[float] = (),
@@ -440,7 +427,9 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     0..n of the n-step grid, which is P(T_n <= t) on the grid and counts a
     start outside the ball.  The moment is compared against the envelope
     (1 + r(x0))^p e^{k0 (1 + p^2) t} when a k0 is supplied."""
-    radial = _radial_fn(system, curvature)
+    dist = system.model.distance_to_pole(curvature)
+    if dist is None:
+        raise CapabilityError("radial estimates need a closed-form pole distance or a pole point")
     x0 = _one_vector(x0, system.dim, "x0")
     sched = schedule_for(t, dt)
     ladder = _ladder(radius_ladder, "radius ladder", min_len=0)
@@ -452,14 +441,14 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
         hits = np.zeros((len(x), len(ladder)), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for s in propagate(Stepper(system), x, dW, sched.dt):
-                r = np.asarray(radial(s.x))
+                r = np.asarray(dist(s.x)[0])
                 hits |= outside_balls(s, r, ladder)
         return {"r_final": r, "hits": hits, "alive": s.alive}
 
     out, trunc = run_paths(system, x0, sched, n_paths, seed, chunk, stream0, workers)
     values = (1.0 + out["r_final"]) ** p
     moment = _mean_estimate(values, seed, truncated=trunc)
-    r0 = float(np.asarray(radial(x0[None, :]))[0])
+    r0 = float(np.asarray(dist(x0[None, :])[0])[0])
     exits = [_mean_estimate(out["hits"][:, j], seed) for j in range(len(keys))]
     exit_p = {key: e.value for key, e in zip(keys, exits)}
     exit_se = {key: e.se for key, e in zip(keys, exits)}

@@ -219,20 +219,29 @@ def _compile_vector(exprs: Sequence[str], dim: int) -> Callable[[np.ndarray], np
 
 
 def load_system(spec) -> VectorFieldSystem:
-    """Build a VectorFieldSystem from a spec dict, JSON string or file path."""
+    """Build a VectorFieldSystem from a spec dict, JSON string or file path;
+    ``ContractError`` on a malformed spec."""
     if isinstance(spec, str):
         if spec.strip().startswith("{"):
             spec = json.loads(spec)
         else:
             with open(spec, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
-    dim = int(spec["dim"])
-    noise_dim = int(spec["noise_dim"])
+    if not isinstance(spec, dict) or not {"dim", "noise_dim", "diffusion"} <= spec.keys():
+        raise ContractError("a system spec is an object with dim, noise_dim and diffusion")
+    try:
+        dim, noise_dim = int(spec["dim"]), int(spec["noise_dim"])
+    except (TypeError, ValueError):
+        raise ContractError("system spec dim and noise_dim must be whole numbers, got "
+                            f"{spec['dim']!r} and {spec['noise_dim']!r}") from None
     rows: List[List[str]] = spec["diffusion"]
     if len(rows) != dim or any(len(r) != noise_dim for r in rows):
         raise ContractError("diffusion must be a dim x noise_dim matrix of expressions")
+    drift = spec.get("drift", ["0"] * dim)
+    if len(drift) != dim:
+        raise ContractError(f"system spec drift must be a list of {dim} expressions, got {drift!r}")
     entry_fns = [[compile_expression(e, dim) for e in row] for row in rows]
-    drift_fn = _compile_vector(spec.get("drift", ["0"] * dim), dim)
+    drift_fn = _compile_vector(drift, dim)
 
     def diffusion_matrix(x):
         x = np.asarray(x, dtype=float)
@@ -255,13 +264,14 @@ def load_system(spec) -> VectorFieldSystem:
         return fd_directional(drift_fn, x, v)
 
     mspec = spec.get("model", {"kind": "flat"})
-    kind = mspec.get("kind", "flat")
+    kind = mspec.get("kind", "flat") if isinstance(mspec, dict) else None
     if kind == "flat":
         model = FlatModel(dim)
-    elif kind == "punctured_flat":
+    elif kind == "punctured_flat" and "puncture" in mspec:
         model = PuncturedFlatModel(dim, mspec["puncture"])
     else:
-        raise ContractError(f"unsupported model kind {kind!r} in system spec")
+        raise ContractError(f"unsupported model {mspec!r} in system spec: the kinds are flat "
+                            "and punctured_flat, with a puncture")
 
     calculus = spec.get("calculus", STRATONOVICH).lower()
     if calculus not in (ITO, STRATONOVICH):

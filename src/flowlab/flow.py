@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, check_whole
-from .geometry import EmbeddedModel, ManifoldModel, sum_last, vec_norm
+from .geometry import ManifoldModel, sum_last, vec_norm
 from .parallel import chunk_size, run_chunks
 from .systems import VectorFieldSystem, as_stratonovich
 
@@ -161,7 +161,6 @@ class Stepper:
         self.system = as_stratonovich(system)
         self.model: ManifoldModel = system.model
         self.r_expl = float(r_expl)
-        self.embedded = isinstance(self.model, EmbeddedModel)
 
     def _heun(self, x: Array, dB: Array, dt: float):
         """The Euler predictor of x and the retracted Heun step; a constant
@@ -172,9 +171,7 @@ class Stepper:
         xp = x + b0 + a0 * dt
         b = b0 if s.constant_diffusion else 0.5 * (b0 + s.diffusion(xp, dB))
         x1 = x + b + 0.5 * dt * (a0 + s.drift(xp))
-        if self.embedded:
-            x1 = self.model.retract(x1)
-        return xp, x1
+        return xp, self.model.retract(x1)
 
     def step_x(self, x: Array, dB: Array, dt: float) -> Array:
         return self._heun(x, dB, dt)[1]
@@ -195,9 +192,7 @@ class Stepper:
         vp = v + jb0 + ja0 * dt
         jb = jb0 if s.constant_diffusion else 0.5 * (jb0 + s.diffusion_jacobian(xp, dB, vp))
         v1 = v + jb + 0.5 * dt * (ja0 + s.drift_jacobian(xp, vp))
-        if self.embedded:
-            v1 = self.model.tangent_project(xr, v1)
-        return x1, v1
+        return x1, self.model.tangent_project(xr, v1)
 
     def classify(self, x: Array):
         """(exploded, domain_exit) masks for candidate states; a batch whose

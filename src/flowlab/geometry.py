@@ -70,9 +70,14 @@ class CurvatureData:
 
 
 class ManifoldModel:
-    """Base class; concrete models override the geometric primitives."""
+    """Base class; concrete models override the geometric primitives.  The
+    defaults are the flat family's: identity projection and retraction (each
+    returns its float64 input array itself), the coordinate frame, no Ricci
+    data (x, v) -> Ric_x(v, v) and no sampler (rng, k) -> k points."""
 
     kind = "abstract"
+    ricci: Optional[Callable[[Array, Array], Array]] = None
+    sampler: Optional[Callable[[np.random.Generator, int], Array]] = None
 
     def __init__(self, ambient_dim: int, intrinsic_dim: int):
         if intrinsic_dim > ambient_dim or intrinsic_dim <= 0:
@@ -111,6 +116,25 @@ class ManifoldModel:
 
     def retract(self, x: Array) -> Array:
         return np.asarray(x, dtype=float)
+
+    def tangent_frame(self, x: Array) -> Array:
+        """The coordinate basis as columns, an (..., m, m) view batched over x."""
+        m = self.ambient_dim
+        return np.broadcast_to(np.eye(m), np.shape(x)[:-1] + (m, m))
+
+    def distance_to_pole(self, data: CurvatureData) -> Optional[Callable[[Array], tuple]]:
+        """x -> (r, dr) for r = |x - data.pole| (dr is nan at the pole), or
+        None without a pole."""
+        if data.pole is None:
+            return None
+        pole = np.asarray(data.pole, dtype=float)
+
+        def dist(x):
+            diff = np.asarray(x, dtype=float) - pole
+            r = vec_norm(diff)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return r, diff / np.asarray(r)[..., None]
+        return dist
 
     # -- explosion bookkeeping ----------------------------------------
     def escape_coordinate(self, x: Array) -> Array:
@@ -261,6 +285,10 @@ class EmbeddedModel(ManifoldModel):
     def retract(self, x: Array) -> Array:
         return self.retraction(np.asarray(x, dtype=float))
 
+    def distance_to_pole(self, data: CurvatureData) -> Optional[Callable[[Array], tuple]]:
+        """The closed form the model was built with, or None; data is not read."""
+        return self._pole_distance
+
     def is_tangent(self, x: Array, v: Array) -> Array:
         v = np.asarray(v, dtype=float)
         resid = vec_norm(self.normal_project(x, v))
@@ -284,7 +312,8 @@ class EmbeddedModel(ManifoldModel):
 
 
 # ----------------------------------------------------------------------
-# module-level operations (the public surface used by the rest of flowlab)
+# module-level operations with admissibility and contract checks
+# (flowlab itself uses second_fundamental_form and pole_distance)
 # ----------------------------------------------------------------------
 
 def tangent_project(model: ManifoldModel, x: Array, u: Array) -> Array:
@@ -321,23 +350,15 @@ def pole_distance(model: ManifoldModel, data: CurvatureData, x: Array):
 
     Returns ``(r, dr, hessian_bound)``.  Supported on flat-family models with
     a pole point, and on embedded built-ins that carry a closed-form distance
-    (no geodesic solver is attempted).
+    (no geodesic solver is attempted): :meth:`ManifoldModel.distance_to_pole`.
     """
     model.check_admissible(x)
-    x = np.asarray(x, dtype=float)
-    if isinstance(model, EmbeddedModel):
-        if model._pole_distance is None:
-            raise CapabilityError(f"model {model.kind} has no closed-form pole distance")
-        r, dr = model._pole_distance(x)
-    else:
-        pole = data.pole
-        if pole is None:
-            raise CapabilityError("pole_distance needs a pole in CurvatureData")
-        diff = x - np.asarray(pole, dtype=float)
-        r = vec_norm(diff)
-        if np.any(r == 0.0):
-            raise SingularPointError("dr is undefined at the pole itself")
-        dr = diff / (r[..., None] if np.ndim(r) else r)
+    dist = model.distance_to_pole(data)
+    if dist is None:
+        raise CapabilityError(f"model {model.kind} has no closed-form pole distance and no pole")
+    r, dr = dist(np.asarray(x, dtype=float))
+    if np.any(r == 0.0):
+        raise SingularPointError("dr is undefined at the pole itself")
     L = data.lower_bound_fn()(r)
     if np.any(L < 1.0):
         raise ContractError("sectional lower bound L must satisfy L >= 1")

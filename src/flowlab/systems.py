@@ -165,18 +165,14 @@ def as_ito(system: VectorFieldSystem) -> VectorFieldSystem:
 def effective_drift(system: VectorFieldSystem) -> DriftDecomposition:
     """A^X = 1/2 sum grad X^i(X^i) + A, the first-order part of the generator.
 
-    For embedded models the correction uses the covariant derivative, i.e. the
-    tangent projection of the ambient one.
+    The correction uses the covariant derivative, the model's tangent
+    projection of the ambient one (the identity on flat-family models).
     """
     s = as_stratonovich(system)
     flat_corr = stratonovich_correction(s)
-    model = s.model
 
-    if isinstance(model, EmbeddedModel):
-        def correction(x):
-            return model.tangent_project(x, flat_corr(x))
-    else:
-        correction = flat_corr
+    def correction(x):
+        return s.model.tangent_project(x, flat_corr(x))
 
     def a_x(x):
         return correction(x) + s.drift(x)
@@ -271,11 +267,7 @@ def isometry_defect(system: VectorFieldSystem, x: Array):
     """
     x = np.asarray(x, dtype=float)
     B = system.diffusion_columns(x)
-    model = system.model
-    if isinstance(model, EmbeddedModel):
-        frame = model.tangent_frame(x)
-    else:
-        frame = np.eye(system.dim)
+    frame = system.model.tangent_frame(x)
     G = B @ np.swapaxes(B, -1, -2)
     defect = np.max(vec_norm(G @ frame - frame, axis=-2), axis=-1)
     return float(defect) if np.ndim(defect) == 0 else defect

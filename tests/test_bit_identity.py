@@ -259,8 +259,7 @@ def test_frame_step_is_a_step_per_column(name, seed, n_grid, r):
     elif name == "paraboloid":
         x[..., 2] = 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)
     v = rng.standard_normal((C, n_grid, r, d))
-    if stepper.embedded:
-        v = system.model.tangent_project(np.broadcast_to(x[..., None, :], v.shape), v)
+    v = system.model.tangent_project(np.broadcast_to(x[..., None, :], v.shape), v)
     dB = rng.standard_normal((C, 1, m)) * 0.03
     with np.errstate(all="ignore"):
         x1, v1 = stepper.step_pair(x, v, dB, 0.01)
@@ -434,9 +433,7 @@ def test_propagate_takes_the_step_when_nothing_is_frozen(name, seed, mode, scale
     if mode != "x":
         v = rng.standard_normal((6, 2, d) if mode == "frame" else (6, d))
         v[0] = 0.0                       # a zero tangent stays zero in unit mode
-        if stepper.embedded:
-            xb = x[:, None, :] if mode == "frame" else x
-            v = system.model.tangent_project(xb, v)
+        v = system.model.tangent_project(x[:, None, :] if mode == "frame" else x, v)
     dW = rng.standard_normal((60, 6, m)) * 0.1
     with np.errstate(all="ignore"):
         got = list(propagate(stepper, x, dW, 0.01, v=v, unit=mode == "unit"))

@@ -72,6 +72,19 @@ class TestValidation:
         assert proc.returncode == 2
         assert "FLOWLAB_SEED" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("bad", [{"noise_dim": None}, {"model": "flat"}, {"dim": "two"},
+                                     {"drift": ["0"]}], ids=["no-noise-dim", "model-string",
+                                                             "dim-word", "short-drift"])
+    def test_malformed_system_spec_exits_2(self, tmp_path, capsys, bad):
+        # each used to end in a raw KeyError, AttributeError or ValueError
+        # traceback with exit code 1
+        spec = {"dim": 2, "noise_dim": 2, "diffusion": [["1", "0"], ["0", "1"]], "drift": ["0", "0"]}
+        spec = {k: v for k, v in {**spec, **bad}.items() if v is not None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system_spec": spec, "paths": 2, "t": 0.02, "dt": 0.01}))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "system spec" in capsys.readouterr().err
+
     def test_invalid_estimate_exit_code(self, monkeypatch, tmp_path):
         monkeypatch.setitem(cli._HANDLERS, "radial",
                             lambda cfg, scn, workers: ({"bad": True}, None, True))

@@ -30,11 +30,13 @@ from flowlab import (
     hp_report,
     integrate_flow,
     load_system,
+    lyapunov_drift_bound,
     observable,
     oracle_convergence_study,
+    scalar_field,
     schedule_for,
 )
-from flowlab.criteria import TIE_TOLERANCE, SampleSet, direction_sample
+from flowlab.criteria import DEFAULT_RADII, TIE_TOLERANCE, SampleSet, direction_sample
 from flowlab.estimators import _estimate_from_exponents
 from flowlab import flow
 from flowlab.flow import NoiseSource, StepSchedule
@@ -586,3 +588,57 @@ def test_certificates_take_any_finite_real():
     assert hp_report(system, sample, p=2)[0].values == hp_report(system, sample, p=np.float64(2))[0].values
     report = certify(system, CertifyConfig(theorems=("Thm5.3",), p=np.int64(1), epsilon=0))
     assert report.entries[0].status == "certified"
+
+
+@st.composite
+def bad_sample_ladders(draw):
+    """A radius ladder a sample set rejects: empty, reversed, or with a rung
+    that is not finite, not > 0, or not above the rung before it."""
+    rungs = draw(LADDERS)
+    how = draw(st.sampled_from(["empty", "reversed", "rung"]))
+    if how == "empty":
+        return []
+    if how == "reversed" and len(rungs) > 1:
+        return rungs[::-1]
+    i = draw(st.integers(0, len(rungs)))
+    bad = draw(st.one_of(NON_FINITE, st.floats(-10.0, 0.0), st.just(rungs[i - 1] if i else 0.0)))
+    return rungs[:i] + [bad] + rungs[i:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad_sample_ladders(), st.sampled_from(["kunita", "sphere(3)"]))
+def test_sample_sets_need_a_positive_increasing_radius_ladder(radii, name):
+    # a reversed ladder used to turn kunita's Thm6.2 from failed to certified,
+    # radii=() on sphere(3) raised a raw ValueError, a NaN radius warned
+    with pytest.raises(ContractError):
+        SampleSet.build(builtin(name).model, radii, 4)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LADDERS)
+def test_good_sample_ladders_build_one_band_per_rung(radii):
+    assert len(SampleSet.build(builtin("kunita").model, radii, 4).starts) == len(radii)
+
+
+def test_a_reversed_ladder_does_not_certify_kunita():
+    system = builtin("kunita").system
+    assert certify(system, CertifyConfig(theorems=("Thm6.2",))).status_of("Thm6.2") == "failed"
+    with pytest.raises(ContractError):
+        certify(system, CertifyConfig(theorems=("Thm6.2",), radii=DEFAULT_RADII[::-1]))
+
+
+def test_certify_takes_theorem_ids_not_a_string():
+    # theorems="Cor5.2" used to report six "unknown theorem id" entries, one per character
+    system = builtin("ou(1)").system
+    with pytest.raises(ContractError):
+        certify(system, CertifyConfig(theorems="Cor5.2"))
+    # any iterable of ids is read lazily, one id at a time
+    entries = certify(system, CertifyConfig(theorems=iter(["Cor5.2", "Thm6.2"]))).entries
+    assert [e.theorem for e in entries] == ["Cor5.2", "Thm6.2"]
+
+
+def test_the_drift_bound_needs_a_point():
+    # an empty point list used to raise a raw TypeError
+    g = scalar_field(lambda x: np.sum(x * x, axis=-1))
+    with pytest.raises(ContractError):
+        lyapunov_drift_bound(builtin("ou(1)").system, g, [])

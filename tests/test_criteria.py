@@ -295,6 +295,10 @@ class TestLyapunov:
             np.stack([g.hessian(p) for p in points]).tobytes()
 
 
+ALL_THEOREMS = ("Cor5.2", "Thm5.1", "Thm5.3", "Thm6.2", "Cor6.3", "Thm7.1", "Prop7.2",
+                "Thm8.1", "Thm8.2", "Cor8.3", "Diffeo")
+
+
 class TestCertify:
     def test_ou_certified(self):
         scn = builtin("ou(1)")
@@ -369,6 +373,42 @@ class TestCertify:
         entry = rep.entries[0]
         assert entry.status == "certified"
         assert entry.constants["f_constant"] >= 0.0
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = SampleSet.build.__func__
+
+        def counted(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+        monkeypatch.setattr(SampleSet, "build", classmethod(counted))
+        return builds
+
+    @pytest.mark.parametrize("name", ["ou(1)", "kunita", "sphere(3)", "paraboloid"])
+    def test_one_sample_set_per_request(self, monkeypatch, name):
+        # every theorem used to build the set again, Diffeo twice more
+        builds = self._count_builds(monkeypatch)
+        scn = builtin(name)
+        config = CertifyConfig(theorems=ALL_THEOREMS, curvature=scn.curvature, n_directions=8)
+        rep = certify(scn.system, config)
+        assert len(builds) == 1
+        assert rep.status_of("Diffeo") != "not-applicable"
+        certify(scn.system, config)
+        assert len(builds) == 2
+
+    def test_not_applicable_before_sampling_builds_nothing(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        certify(builtin("sphere(3)").system, CertifyConfig(theorems=("Thm6.2", "Cor6.3", "Thm7.1")))
+        certify(builtin("punctured_translation(2)").system, CertifyConfig(theorems=ALL_THEOREMS))
+        assert builds == []
+
+    def test_a_model_without_sampler_is_not_applicable_for_each_theorem(self):
+        model = EmbeddedModel("unsampled", 3, normal=lambda x: x, dnormal=lambda x, v: v,
+                              retraction=lambda x: x, ricci=lambda x, v: np.sum(v * v, axis=-1))
+        rep = certify(gradient_brownian_from_embedding(model),
+                      CertifyConfig(theorems=("Cor5.2", "Thm5.3", "Thm8.1", "Diffeo")))
+        assert [e.reason for e in rep.entries] == ["embedded model has no point sampler"] * 4
 
 
 def test_tangent_directions_unit_norm():

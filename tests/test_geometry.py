@@ -174,7 +174,34 @@ class TestMetricNorm:
             metric_norm(m, np.zeros(2), np.ones(2))
 
 
+FLAT_FAMILY = [FlatModel(2), PuncturedFlatModel(2, np.zeros(2)),
+               RescaledFlatModel(2, weight=lambda x: 1.0 / np.linalg.norm(x, axis=-1),
+                                 excluded=np.zeros(2))]
+
+
+@pytest.mark.parametrize("m", FLAT_FAMILY, ids=lambda m: m.kind)
+def test_flat_family_steps_without_copies(m):
+    # the stepper retracts and projects every model unconditionally; on a
+    # flat-family model both hand back the array they were given
+    x, v = np.array([[1.0, 2.0], [3.0, -4.0]]), np.array([[0.5, 0.0], [-1.0, 2.0]])
+    assert m.retract(x) is x
+    assert m.tangent_project(x, v) is v
+    assert np.array_equal(m.tangent_frame(x), np.broadcast_to(np.eye(2), (2, 2, 2)))
+    assert m.ricci is None and m.sampler is None
+
+
 class TestPoleDistance:
+    def test_the_model_answers_where_its_pole_is(self):
+        # flat-family models measure to CurvatureData's pole; an embedded
+        # model has its closed form or nothing, whatever the data say
+        assert FlatModel(2).distance_to_pole(CurvatureData()) is None
+        r, dr = FlatModel(2).distance_to_pole(CurvatureData(pole=np.ones(2)))(np.array([4.0, 5.0]))
+        assert r == 5.0 and np.array_equal(dr, [0.6, 0.8])
+        assert sphere_model(3).distance_to_pole(CurvatureData(pole=np.zeros(3))) is None
+        assert paraboloid_model().distance_to_pole(CurvatureData()) is not None
+        with pytest.raises(CapabilityError):
+            pole_distance(sphere_model(3), CurvatureData(pole=np.zeros(3)), np.array([0.0, 0.0, 1.0]))
+
     def test_flat_euclidean_distance(self):
         m = FlatModel(3)
         data = CurvatureData(pole=np.zeros(3))
