@@ -7,9 +7,10 @@ certificate issued here is labeled ``sampled-only`` evidence; "failed" means a
 diverging trend or an explicit witness was found on the sample set.
 
 Every condition is evaluated in one broadcast call over a ``SampleSet``: the
-points of all radius bands in band order with their tangent directions.  A
-``certify`` request builds one set, for the first theorem that needs it, and
-shares it with the rest (``Diffeo``'s adjoint too); ``check_growth`` builds its own.
+points of all radius bands in band order with their tangent directions.  The
+per-point quantities the conditions read are entries of a ``SweepSet``, one
+per system and request (or ``check_growth`` call), each computed once on the
+request's one sample set, which is built when a theorem first needs it.
 Per-direction values are reduced to a per-point ratio (the max over kept
 directions), then to the per-band maxima, the global maximum and the first
 point in band order that attains it up to ``TIE_TOLERANCE``.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -181,22 +182,12 @@ def _column_terms(system: VectorFieldSystem, x: Array, v: Array, directional: bo
     return hs, np.sum(inner * inner, axis=-1)
 
 
-def _grad_x_sq(system: VectorFieldSystem, x: Array, v: Array) -> Array:
-    """sum_i |grad X^i(v)|^2; |alpha(v, .)|_HS^2 for gradient systems."""
-    return _column_terms(system, x, v, directional=False)[0]
-
-
 def _z_field(system: VectorFieldSystem):
     """The Brownian-with-drift field Z = A^X and its directional derivative."""
     if system.z_drift is not None and system.z_drift_jacobian is not None:
         return system.z_drift, system.z_drift_jacobian
-    dec = effective_drift(system)
-    z = dec.a_x
-
-    def zjac(x, v):
-        return fd_directional(z, x, v)
-
-    return z, zjac
+    z = effective_drift(system).a_x
+    return z, partial(fd_directional, z)
 
 
 def _grad_z_quad(system: VectorFieldSystem, x: Array, v: Array) -> Array:
@@ -355,9 +346,7 @@ class ConditionCheck:
     band_ratios: List[float]   # max ratio per radius band
 
     def to_dict(self):
-        return {"name": self.name, "constant": self.constant,
-                "worst_ratio": self.worst_ratio, "worst_point": self.worst_point,
-                "diverging": self.diverging, "band_ratios": self.band_ratios}
+        return dict(vars(self))
 
 
 @dataclass
@@ -443,102 +432,142 @@ class SampleSet:
                               band_ratios=band_ratios)
 
 
-def _coeff_norm_sq(system: VectorFieldSystem, x: Array) -> Array:
-    B = as_stratonovich(system).diffusion_columns(x)
-    return np.sum(B * B, axis=(-2, -1))
-
-
 def _flat_ito(system: VectorFieldSystem) -> VectorFieldSystem:
     return system if isinstance(system.model, EmbeddedModel) else as_ito(system)
-
-
-def _drift_quad(system: VectorFieldSystem) -> Callable[[Array, Array], Array]:
-    """(x, v) -> <DA v, v> with the Ito-form drift (flat models)."""
-    s = _flat_ito(system)
-    return lambda x, v: np.sum(s.drift_jacobian(x, v) * v, axis=-1)
-
-
-def _hp_fn(system: VectorFieldSystem, p: float,
-           curvature: Optional[CurvatureData]) -> Callable[[Array, Array], Array]:
-    return lambda x, v: eval_Hp(system, x, v, p, curvature=curvature)
 
 
 def _has_r_term(system: VectorFieldSystem, curvature: Optional[CurvatureData]) -> bool:
     return _flat_metric(system.model) or _ricci_fn(system.model, curvature) is not None
 
 
-def _sup_drift_curvature(system: VectorFieldSystem, curvature: Optional[CurvatureData],
-                         S: SampleSet) -> Array:
-    """Per point, the sup over directions of 2<grad_v A^X, v> plus
-    sum_i <R(X^i, v)X^i, v>, which is zero on flat models and -Ric(v, v) for
-    isometric systems with Ricci data (isometry checked once per point).
-    A^X = Z with its declared jacobian where the system declares Z."""
-    ric = None if _flat_metric(system.model) else _ricci_fn(system.model, curvature)
-    if ric is not None and np.any(isometry_defect(system, S.x) > ISOMETRY_TOL):
-        raise CapabilityError("curvature rewriting needs an isometric system")
-    return S.sup_dirs(lambda x, v: 2.0 * _grad_z_quad(system, x, v)
-                      + (0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)))
+class SweepSet:
+    """The per-point quantities of one system on one request's sample set
+    ``S`` (built on first read); each entry is evaluated when first read and
+    kept while the object lives, and one that raises is not kept.  Sups over
+    directions: ``grad_x_sq`` sum_i |grad X^i(v)|^2, ``grad_z`` <grad_v Z, v>,
+    ``drift_quad`` <DA v, v>, ``hp(p)`` H_p(v, v), ``drift_curvature``
+    2<grad_v A^X, v> + sum_i <R(X^i, v)X^i, v> (0 on flat models, -Ric(v, v)
+    on isometric ones).  Per point: ``coeff_sq`` sum_i |X^i|^2, ``drift_radial``
+    <x, A>, ``r2`` |x|^2, ``pole`` (r, dr, Hessian bound), ``z_radial`` <dr, Z>."""
+
+    def __init__(self, system: VectorFieldSystem, config: "CertifyConfig"):
+        self.system, self.config = system, config
+        self.curvature = config.curvature or CurvatureData()
+        self._samples = cache(lambda: SampleSet.build(system.model, config.radii, config.n_directions))
+        self._hp: Dict[float, Array] = {}
+
+    @property
+    def S(self) -> SampleSet:
+        return self._samples()
+
+    def adjoint(self) -> "SweepSet":
+        """The adjoint system's sweep set, on this one's sample set."""
+        out = SweepSet(adjoint(self.system), self.config)
+        out._samples = self._samples
+        return out
+
+    @cached_property
+    def grad_x_sq(self) -> Array:
+        return self.S.sup_dirs(lambda x, v: _column_terms(self.system, x, v, directional=False)[0])
+
+    @cached_property
+    def grad_z(self) -> Array:
+        return self.S.sup_dirs(partial(_grad_z_quad, self.system))
+
+    @cached_property
+    def drift_quad(self) -> Array:
+        S, s = self.S, _flat_ito(self.system)
+        return S.sup_dirs(lambda x, v: np.sum(s.drift_jacobian(x, v) * v, axis=-1))
+
+    @cached_property
+    def drift_radial(self) -> Array:
+        x = self.S.x
+        return np.sum(x * _flat_ito(self.system).drift(x), axis=-1)
+
+    @cached_property
+    def coeff_sq(self) -> Array:
+        B = as_stratonovich(self.system).diffusion_columns(self.S.x)
+        return np.sum(B * B, axis=(-2, -1))
+
+    @cached_property
+    def r2(self) -> Array:
+        return np.sum(self.S.x * self.S.x, axis=-1)
+
+    @cached_property
+    def pole(self):
+        return pole_distance(self.system.model, self.curvature, self.S.x)
+
+    @cached_property
+    def z_radial(self) -> Array:
+        z, _ = _z_field(self.system)
+        return np.sum(self.pole[1] * z(self.S.x), axis=-1)
+
+    @cached_property
+    def drift_curvature(self) -> Array:
+        system, S = self.system, self.S
+        ric = None if _flat_metric(system.model) else _ricci_fn(system.model, self.curvature)
+        if ric is not None and np.any(isometry_defect(system, S.x) > ISOMETRY_TOL):
+            raise CapabilityError("curvature rewriting needs an isometric system")
+        return S.sup_dirs(lambda x, v: 2.0 * _grad_z_quad(system, x, v)
+                          + (0.0 if ric is None else -np.asarray(ric(x, v), dtype=float)))
+
+    def hp(self, p: float) -> Array:
+        if p not in self._hp:
+            self._hp[p] = self.S.sup_dirs(partial(eval_Hp, self.system, p=p, curvature=self.curvature))
+        return self._hp[p]
 
 
-def _linear_growth(system, S, epsilon, p, curvature):
-    x = S.x
-    r2 = np.sum(x * x, axis=-1)
-    s_ito = _flat_ito(system)
+def _linear_growth(sw: SweepSet) -> List[ConditionCheck]:
     return [
-        S.condition("coeff_linear_growth", np.sqrt(_coeff_norm_sq(system, x)) / np.sqrt(1.0 + r2)),
-        S.condition("drift_radial_growth", np.sum(x * s_ito.drift(x), axis=-1) / (1.0 + r2)),
+        sw.S.condition("coeff_linear_growth", np.sqrt(sw.coeff_sq) / np.sqrt(1.0 + sw.r2)),
+        sw.S.condition("drift_radial_growth", sw.drift_radial / (1.0 + sw.r2)),
     ]
 
 
-def _sublog_derivative(system, S, epsilon, p, curvature):
-    env = 1.0 + np.log1p(np.sum(S.x * S.x, axis=-1))
+def _sublog_derivative(sw: SweepSet) -> List[ConditionCheck]:
+    env = 1.0 + np.log1p(sw.r2)
     return [
-        S.condition("grad_X_sq_sublog", S.sup_dirs(partial(_grad_x_sq, system)) / env),
-        S.condition("grad_A_sublog", S.sup_dirs(_drift_quad(system)) / env),
+        sw.S.condition("grad_X_sq_sublog", sw.grad_x_sq / env),
+        sw.S.condition("grad_A_sublog", sw.drift_quad / env),
     ]
 
 
-def _epsilon_exponent(system, S, epsilon, p, curvature):
-    x = S.x
-    r2 = np.sum(x * x, axis=-1)
-    s_ito = _flat_ito(system)
-    cols = np.max(vec_norm(as_stratonovich(system).diffusion_columns(x), axis=-2), axis=-1)
+def _epsilon_exponent(sw: SweepSet) -> List[ConditionCheck]:
+    S, eps, r2 = sw.S, sw.config.epsilon, sw.r2
+    cols = np.max(vec_norm(as_stratonovich(sw.system).diffusion_columns(S.x), axis=-2), axis=-1)
     return [
-        S.condition("coeff_columns_growth", cols / (1.0 + r2) ** (0.5 - epsilon)),
-        S.condition("drift_radial_growth",
-                    np.sum(x * s_ito.drift(x), axis=-1) / (1.0 + r2) ** (1.0 - epsilon)),
-        S.condition("column_jacobian_growth",
-                    S.sup_dirs(partial(_grad_x_sq, system)) / (1.0 + r2) ** epsilon),
-        S.condition("grad_A_growth", S.sup_dirs(_drift_quad(system)) / (1.0 + r2) ** epsilon),
+        S.condition("coeff_columns_growth", cols / (1.0 + r2) ** (0.5 - eps)),
+        S.condition("drift_radial_growth", sw.drift_radial / (1.0 + r2) ** (1.0 - eps)),
+        S.condition("column_jacobian_growth", sw.grad_x_sq / (1.0 + r2) ** eps),
+        S.condition("grad_A_growth", sw.drift_quad / (1.0 + r2) ** eps),
     ]
 
 
-def _pole_conditions(system, S, epsilon, p, curvature):
-    curvature = curvature if curvature is not None else CurvatureData()
-    z, _ = _z_field(system)
-    r, dr, hess = pole_distance(system.model, curvature, S.x)
+def _pole_conditions(sw: SweepSet) -> List[ConditionCheck]:
+    S = sw.S
+    z_radial, (r, _, hess) = sw.z_radial, sw.pole     # Z is formed before the pole distance
     sublog = 1.0 + np.log1p(r)
     conds = [
-        S.condition("coeff_vs_hessian_bound", _coeff_norm_sq(system, S.x) * hess / (1.0 + r)),
-        S.condition("effective_drift_radial", np.sum(dr * z(S.x), axis=-1) / (1.0 + r)),
-        S.condition("grad_X_sq_sublog_r", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+        S.condition("coeff_vs_hessian_bound", sw.coeff_sq * hess / (1.0 + r)),
+        S.condition("effective_drift_radial", z_radial / (1.0 + r)),
+        S.condition("grad_X_sq_sublog_r", sw.grad_x_sq / sublog),
     ]
-    if _has_r_term(system, curvature):
-        conds.append(S.condition("drift_curvature_sublog_r",
-                                 _sup_drift_curvature(system, curvature, S) / sublog))
+    if _has_r_term(sw.system, sw.curvature):
+        conds.append(S.condition("drift_curvature_sublog_r", sw.drift_curvature / sublog))
     return conds
 
 
-def _h_bound(system, S, epsilon, p, curvature):
-    return [S.condition(f"H_{p:g}_upper_bound", S.sup_dirs(_hp_fn(system, p, curvature)))]
+def _h_bound(sw: SweepSet, p: float) -> List[ConditionCheck]:
+    return [sw.S.condition(f"H_{p:g}_upper_bound", sw.hp(p))]
 
 
+#: kind -> conditions(sweep set), p and epsilon read from the set's config
 _GROWTH_KINDS = {
     "linear_growth": _linear_growth,
     "sublog_derivative": _sublog_derivative,
     "epsilon_exponent": _epsilon_exponent,
     "pole_conditions": _pole_conditions,
-    "h_bound": _h_bound,
+    "h_bound": lambda sw: _h_bound(sw, sw.config.p),
 }
 
 
@@ -560,8 +589,8 @@ def check_growth(system: VectorFieldSystem, kind: str,
     check_whole("n_directions", n_directions)
     _check_finite("epsilon", epsilon)
     _check_finite("p", p)
-    S = SampleSet.build(system.model, radii, n_directions)
-    conds = _GROWTH_KINDS[kind](system, S, epsilon=epsilon, p=p, curvature=curvature)
+    conds = _GROWTH_KINDS[kind](SweepSet(system, CertifyConfig(
+        theorems=(), p=p, epsilon=epsilon, radii=radii, n_directions=n_directions, curvature=curvature)))
     return GrowthProfile(kind=kind, conditions=conds, radii=[float(r) for r in radii],
                          n_directions=n_directions)
 
@@ -658,14 +687,8 @@ class TheoremVerdict:
     failing_sample: Optional[list] = None
     reason: Optional[str] = None
 
-    def to_dict(self):
-        out = {"theorem": self.theorem, "status": self.status,
-               "conditions": self.conditions, "constants": self.constants}
-        if self.failing_sample is not None:
-            out["failing_sample"] = self.failing_sample
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
+    def to_dict(self):    # failing_sample and reason only when set
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
@@ -674,10 +697,7 @@ class VerdictReport:
     basis: str = "sampled-only"
 
     def status_of(self, theorem: str) -> str:
-        for e in self.entries:
-            if e.theorem == theorem:
-                return e.status
-        return "not-applicable"
+        return next((e.status for e in self.entries if e.theorem == theorem), "not-applicable")
 
     def to_dict(self):
         return {"basis": self.basis, "entries": [e.to_dict() for e in self.entries]}
@@ -722,7 +742,7 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     _check_finite("epsilon", config.epsilon)
     _check_finite("p", config.p)
     model = system.model
-    samples = cache(lambda: SampleSet.build(model, config.radii, config.n_directions))
+    sweeps = SweepSet(system, config)
     entries: List[TheoremVerdict] = []
     for theorem in config.theorems:
         handler = _HANDLERS.get(theorem)
@@ -734,82 +754,65 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
             entries.append(_na(theorem, "unknown theorem id"))
         else:
             try:
-                entries.append(handler(system, config, samples))
+                entries.append(handler(sweeps))
             except CapabilityError as exc:
                 entries.append(_na(theorem, str(exc)))
     return VerdictReport(entries=entries)
 
 
-def _certify_cor52(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    if not _has_r_term(system, config.curvature):
+def _certify_cor52(sw: SweepSet) -> TheoremVerdict:
+    if not _has_r_term(sw.system, sw.curvature):
         return _na("Cor5.2", "curvature term unavailable (need flat model or Ricci data)")
-    S = samples()
+    S = sw.S
     return _verdict("Cor5.2", [
-        S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
-        S.condition("drift_curvature_upper_bound",
-                    _sup_drift_curvature(system, config.curvature, S)),
+        S.condition("grad_X_bounded", np.sqrt(sw.grad_x_sq)),
+        S.condition("drift_curvature_upper_bound", sw.drift_curvature),
     ])
 
 
-def _certify_thm51(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
+def _certify_thm51(sw: SweepSet) -> TheoremVerdict:
     """Constant-f instance: find c with |grad X|^2 <= c and H_p <= 6 p c on samples.
 
     With f = c constant, the exponential-functional hypothesis holds
     automatically, so the certificate reduces to the two pointwise bounds.
     """
-    S = samples()
-    p = config.p
-    cond_g = S.condition("grad_X_sq_bounded", S.sup_dirs(partial(_grad_x_sq, system)))
-    cond_h = S.condition("H_p_over_6p", S.sup_dirs(_hp_fn(system, p, config.curvature)) / (6.0 * p))
+    S, p = sw.S, sw.config.p
+    cond_g = S.condition("grad_X_sq_bounded", sw.grad_x_sq)
+    cond_h = S.condition("H_p_over_6p", sw.hp(p) / (6.0 * p))
     verdict = _verdict("Thm5.1", [cond_g, cond_h])
     if verdict.status == "certified":
         verdict.constants["f_constant"] = max(cond_g.constant, cond_h.constant, 0.0)
     return verdict
 
 
-def _certify_thm53(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    return _verdict("Thm5.3", _h_bound(system, samples(), config.epsilon, 1.0, config.curvature))
-
-
-def _certify_thm62(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    if not _flat_metric(system.model):
+def _certify_thm62(sw: SweepSet) -> TheoremVerdict:
+    if not _flat_metric(sw.system.model):
         return _na("Thm6.2", "stated for flat space")
-    args = (system, samples(), config.epsilon, config.p, config.curvature)
-    return _verdict("Thm6.2", _linear_growth(*args) + _sublog_derivative(*args))
+    return _verdict("Thm6.2", _linear_growth(sw) + _sublog_derivative(sw))
 
 
-def _certify_cor63(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    if not _flat_metric(system.model):
+def _certify_cor63(sw: SweepSet) -> TheoremVerdict:
+    if not _flat_metric(sw.system.model):
         return _na("Cor6.3", "stated for flat space")
-    return _verdict("Cor6.3", _epsilon_exponent(system, samples(), config.epsilon, config.p,
-                                                config.curvature))
+    return _verdict("Cor6.3", _epsilon_exponent(sw))
 
 
-def _certify_thm71(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    curvature = config.curvature or CurvatureData()
-    if system.model.distance_to_pole(curvature) is None:
+def _certify_thm71(sw: SweepSet) -> TheoremVerdict:
+    if sw.system.model.distance_to_pole(sw.curvature) is None:
         return _na("Thm7.1", "no pole data available")
-    return _verdict("Thm7.1", _pole_conditions(system, samples(), config.epsilon, config.p,
-                                               curvature))
+    return _verdict("Thm7.1", _pole_conditions(sw))
 
 
-def _certify_prop72(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    curvature = config.curvature or CurvatureData()
-    model = system.model
-    if model.distance_to_pole(curvature) is None:
+def _certify_prop72(sw: SweepSet) -> TheoremVerdict:
+    if sw.system.model.distance_to_pole(sw.curvature) is None:
         return _na("Prop7.2", "no pole data available")
-    eps = config.epsilon
-    S = samples()
-    r, dr, hess = pole_distance(model, curvature, S.x)
-    z, _ = _z_field(system)
+    S, eps = sw.S, sw.config.epsilon
+    r, _, hess = sw.pole
     return _verdict("Prop7.2", [
-        S.condition("coeff_vs_hessian_bound_eps",
-                    _coeff_norm_sq(system, S.x) * hess / (1.0 + r) ** (2.0 - eps)),
-        S.condition("grad_X_sq_growth_eps", S.sup_dirs(partial(_grad_x_sq, system)) / (1.0 + r) ** eps),
-        S.condition("effective_drift_radial_eps",
-                    np.sum(dr * z(S.x), axis=-1) / (1.0 + r) ** (2.0 - eps)),
-        S.condition("H_p_growth_eps",
-                    S.sup_dirs(_hp_fn(system, config.p, config.curvature)) / (1.0 + r) ** eps),
+        S.condition("coeff_vs_hessian_bound_eps", sw.coeff_sq * hess / (1.0 + r) ** (2.0 - eps)),
+        S.condition("grad_X_sq_growth_eps", sw.grad_x_sq / (1.0 + r) ** eps),
+        S.condition("effective_drift_radial_eps", sw.z_radial / (1.0 + r) ** (2.0 - eps)),
+        S.condition("H_p_growth_eps", sw.hp(sw.config.p) / (1.0 + r) ** eps),
     ])
 
 
@@ -818,56 +821,53 @@ def _is_brownian(system: VectorFieldSystem, S: SampleSet) -> bool:
     return isometry_defect(system, S.x[0]) <= ISOMETRY_TOL
 
 
-def _certify_thm81(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    ric = _ricci_fn(system.model, config.curvature)
+def _certify_thm81(sw: SweepSet) -> TheoremVerdict:
+    ric = _ricci_fn(sw.system.model, sw.curvature)
     if ric is None:
         return _na("Thm8.1", "Ricci curvature data unavailable")
-    S = samples()
-    if not _is_brownian(system, S):
+    S = sw.S
+    if not _is_brownian(sw.system, S):
         return _na("Thm8.1", "system is not a Brownian system (X^*X != Id)")
     return _verdict("Thm8.1", [
-        S.condition("grad_X_bounded", np.sqrt(S.sup_dirs(partial(_grad_x_sq, system)))),
+        S.condition("grad_X_bounded", np.sqrt(sw.grad_x_sq)),
         S.condition("gradZ_minus_half_ric_upper", S.sup_dirs(
-            lambda x, v: _grad_z_quad(system, x, v) - 0.5 * np.asarray(ric(x, v), dtype=float))),
+            lambda x, v: _grad_z_quad(sw.system, x, v) - 0.5 * np.asarray(ric(x, v), dtype=float))),
     ])
 
 
-def _certify_thm82(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    model = system.model
-    curvature = config.curvature or CurvatureData()
-    ric = _ricci_fn(model, curvature)
-    if ric is None or model.distance_to_pole(curvature) is None:
+def _certify_thm82(sw: SweepSet) -> TheoremVerdict:
+    ric = _ricci_fn(sw.system.model, sw.curvature)
+    if ric is None or sw.system.model.distance_to_pole(sw.curvature) is None:
         return _na("Thm8.2", "needs Ricci data and a pole configuration (cut locus avoided)")
-    S = samples()
-    if not _is_brownian(system, S):
+    S = sw.S
+    if not _is_brownian(sw.system, S):
         return _na("Thm8.2", "system is not a Brownian system (X^*X != Id)")
-    z, _ = _z_field(system)
-    r, dr, _ = pole_distance(model, curvature, S.x)
+    z_radial, r = sw.z_radial, sw.pole[0]     # Z is formed before the pole distance
     sublog = 1.0 + np.log1p(r)
     return _verdict("Thm8.2", [
         S.condition("ric_quadratic_lower",
                     S.sup_dirs(lambda x, v: -np.asarray(ric(x, v), dtype=float)) / (1.0 + r ** 2)),
-        S.condition("drift_radial", np.sum(dr * z(S.x), axis=-1) / (1.0 + r)),
-        S.condition("grad_X_sq_sublog_r", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+        S.condition("drift_radial", z_radial / (1.0 + r)),
+        S.condition("grad_X_sq_sublog_r", sw.grad_x_sq / sublog),
         S.condition("two_gradZ_minus_ric_sublog_r", S.sup_dirs(
-            lambda x, v: 2.0 * _grad_z_quad(system, x, v) - np.asarray(ric(x, v), dtype=float))
+            lambda x, v: 2.0 * _grad_z_quad(sw.system, x, v) - np.asarray(ric(x, v), dtype=float))
             / sublog),
     ])
 
 
-def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
-    if not (isinstance(system.model, EmbeddedModel) and system.is_gradient):
+def _certify_cor83(sw: SweepSet) -> TheoremVerdict:
+    if not (isinstance(sw.system.model, EmbeddedModel) and sw.system.is_gradient):
         return _na("Cor8.3", "stated for gradient Brownian systems of embeddings")
-    S = samples()
-    z, _ = _z_field(system)
+    S = sw.S
+    z, _ = _z_field(sw.system)
     # ambient distance to the first sample stands in for the intrinsic one (lower bound)
     r = vec_norm(S.x - S.x[0])
     sublog = 1.0 + np.log1p(r)
     verdict = _verdict("Cor8.3", [
         # |grad X(v)|^2 = |alpha(v, .)|_HS^2 for gradient systems
-        S.condition("sff_sq_sublog", S.sup_dirs(partial(_grad_x_sq, system)) / sublog),
+        S.condition("sff_sq_sublog", sw.grad_x_sq / sublog),
         S.condition("drift_radial", vec_norm(z(S.x)) / (1.0 + r)),
-        S.condition("gradZ_sublog", S.sup_dirs(partial(_grad_z_quad, system)) / sublog),
+        S.condition("gradZ_sublog", sw.grad_z / sublog),
     ])
     if verdict.status == "certified":
         # the adjoint of a gradient Brownian system is gradient Brownian with -Z
@@ -875,18 +875,18 @@ def _certify_cor83(system: VectorFieldSystem, config: CertifyConfig, samples) ->
     return verdict
 
 
-def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig, samples) -> TheoremVerdict:
+def _certify_diffeo(sw: SweepSet) -> TheoremVerdict:
     """Flow-of-diffeomorphisms verdict: a strong-completeness certificate must
     hold for the system and for its adjoint."""
-    if system.is_gradient:
+    if sw.system.is_gradient:
         route = "Cor8.3"
-    elif _flat_metric(system.model):
+    elif _flat_metric(sw.system.model):
         route = "Cor5.2"
     else:
         route = "Thm8.1"
     handler = _HANDLERS[route]
-    fwd = handler(system, config, samples)
-    bwd = handler(adjoint(system), config, samples)
+    fwd = handler(sw)
+    bwd = handler(sw.adjoint())
     if fwd.status == "not-applicable" or bwd.status == "not-applicable":
         return _na("Diffeo", f"route {route} not applicable")
     status = "certified" if fwd.status == bwd.status == "certified" else "failed"
@@ -899,12 +899,12 @@ def _certify_diffeo(system: VectorFieldSystem, config: CertifyConfig, samples) -
     return out
 
 
-#: theorem id -> handler(system, config, samples) -> TheoremVerdict, where
-#: samples() is the request's one SampleSet, built on first call
+#: theorem id -> handler(sweeps) -> TheoremVerdict, where sweeps is the
+#: request's SweepSet of the system
 _HANDLERS: Dict[str, Callable[..., TheoremVerdict]] = {
     "Cor5.2": _certify_cor52,
     "Thm5.1": _certify_thm51,
-    "Thm5.3": _certify_thm53,
+    "Thm5.3": lambda sw: _verdict("Thm5.3", _h_bound(sw, 1.0)),
     "Thm6.2": _certify_thm62,
     "Cor6.3": _certify_cor63,
     "Thm7.1": _certify_thm71,

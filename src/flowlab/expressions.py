@@ -222,11 +222,18 @@ def load_system(spec) -> VectorFieldSystem:
     """Build a VectorFieldSystem from a spec dict, JSON string or file path;
     ``ContractError`` on a malformed spec."""
     if isinstance(spec, str):
-        if spec.strip().startswith("{"):
-            spec = json.loads(spec)
-        else:
-            with open(spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
+        inline = spec.strip().startswith("{")
+        where = "inline system spec" if inline else f"system spec {spec}"
+        try:
+            if inline:
+                spec = json.loads(spec)
+            else:
+                with open(spec, "r", encoding="utf-8") as fh:
+                    spec = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractError(f"cannot read {where}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(spec, dict) or not {"dim", "noise_dim", "diffusion"} <= spec.keys():
         raise ContractError("a system spec is an object with dim, noise_dim and diffusion")
     try:

@@ -234,7 +234,6 @@ class EmbeddedModel(ManifoldModel):
                  dnormal: Callable[[Array, Array], Array],
                  retraction: Callable[[Array], Array],
                  ricci: Optional[Callable[[Array, Array], Array]] = None,
-                 pole: Optional[Array] = None,
                  pole_distance: Optional[Callable[[Array], tuple]] = None,
                  sampler: Optional[Callable[[np.random.Generator, int], Array]] = None,
                  admissible: Optional[Callable[[Array], Array]] = None):
@@ -244,7 +243,6 @@ class EmbeddedModel(ManifoldModel):
         self.dnormal = dnormal
         self.retraction = retraction
         self.ricci = ricci
-        self.pole = None if pole is None else np.asarray(pole, dtype=float)
         self._pole_distance = pole_distance
         self.sampler = sampler
         self._admissible = admissible
@@ -428,7 +426,7 @@ def paraboloid_model() -> EmbeddedModel:
         return np.concatenate([u, z[:, None]], axis=1)
 
     return graph_model(2, lambda u: 0.5 * sum_last(u ** 2), lambda u: u,
-                       lambda u, w: w, name="paraboloid", ricci=ricci, pole=np.zeros(3),
+                       lambda u, w: w, name="paraboloid", ricci=ricci,
                        pole_distance=pole_dist, sampler=sampler)
 
 

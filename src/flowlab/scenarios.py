@@ -301,8 +301,7 @@ def _scn_paraboloid() -> Scenario:
     return Scenario(
         name="paraboloid", system=sys_,
         curvature=CurvatureData(ricci=model.ricci,
-                                sectional_lower_bound=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                                pole=np.zeros(3)),
+                                sectional_lower_bound=lambda r: np.ones_like(np.asarray(r, dtype=float))),
         oracle=None,
         notes="Gradient Brownian system on a convex surface with a pole at "
               "the vertex; curvature is positive and decays, the second "

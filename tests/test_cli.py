@@ -42,6 +42,13 @@ class TestValidation:
         assert proc.returncode == 2
         assert "bad.json:2" in proc.stderr
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # used to end in a raw UnicodeDecodeError traceback with exit code 1
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"scenario": "\xff"}')
+        assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_schema_violation_names_key(self, tmp_path):
         cfg = tmp_path / "bad2.json"
         cfg.write_text('{"scenario": "ou(1)", "dt": -0.5}')
@@ -84,6 +91,22 @@ class TestValidation:
         cfg.write_text(json.dumps({"system_spec": spec, "paths": 2, "t": 0.02, "dt": 0.01}))
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "system spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, where", [
+        ("missing.json", "cannot read system spec"),
+        ("latin1.json", "cannot read system spec"),
+        ("bad.json", "bad.json:2:1:"),
+        ('{"dim": 1, ]', "inline system spec:1:12:"),
+    ], ids=["missing-file", "not-utf8-file", "bad-json-file", "bad-json-string"])
+    def test_unreadable_system_spec_exits_2(self, tmp_path, capsys, spec, where):
+        # used to end in a raw FileNotFoundError, UnicodeDecodeError or
+        # JSONDecodeError traceback with exit code 1
+        (tmp_path / "bad.json").write_text('{"dim": 1,\n}\n')
+        (tmp_path / "latin1.json").write_bytes(b'{"dim": "\xff"}')
+        if spec.endswith(".json"):
+            spec = str(tmp_path / spec)
+        assert cli.main(["simulate", "--system-spec", spec, "--out", str(tmp_path / "o")]) == 2
+        assert where in capsys.readouterr().err
 
     def test_invalid_estimate_exit_code(self, monkeypatch, tmp_path):
         monkeypatch.setitem(cli._HANDLERS, "radial",

@@ -2,6 +2,7 @@
 values: the linear restoring system gives -2|v|^2 for every p, the unit sphere
 gives (p + 1 - n)|v|^2 in both curvature backends."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from flowlab import (
     scalar_field,
     tangent_project,
 )
-from flowlab.criteria import SampleSet, direction_sample, tangent_directions
+from flowlab.criteria import SampleSet, SweepSet, direction_sample, tangent_directions
 from flowlab.geometry import EmbeddedModel
 from flowlab.systems import gradient_brownian_from_embedding
 
@@ -409,6 +410,55 @@ class TestCertify:
         rep = certify(gradient_brownian_from_embedding(model),
                       CertifyConfig(theorems=("Cor5.2", "Thm5.3", "Thm8.1", "Diffeo")))
         assert [e.reason for e in rep.entries] == ["embedded model has no point sampler"] * 4
+
+    @pytest.mark.parametrize("name, sweeps", [("sphere(3)", 5), ("paraboloid", 6),
+                                              ("ou(1)", 6), ("kunita", 2)])
+    def test_each_sweep_once_per_system_and_request(self, monkeypatch, name, sweeps):
+        # every theorem used to sweep its quantities again: 8, 10, 9 and 2
+        # sweeps; Diffeo's adjoint sweeps its own system once more
+        calls = []
+        sup_dirs = SampleSet.sup_dirs
+        monkeypatch.setattr(SampleSet, "sup_dirs", lambda S, fn: calls.append(fn) or sup_dirs(S, fn))
+        scn = builtin(name)
+        certify(scn.system, CertifyConfig(theorems=list(scn.expected_verdicts), curvature=scn.curvature))
+        assert len(calls) == sweeps
+
+    @pytest.mark.parametrize("name, theorem, kinds", [
+        ("ou(1)", "Thm6.2", ("linear_growth", "sublog_derivative")),
+        ("kunita", "Cor6.3", ("epsilon_exponent",)),
+        ("paraboloid", "Thm7.1", ("pole_conditions",)),
+        ("sphere(3)", "Thm5.3", ("h_bound",)),
+    ])
+    def test_growth_kinds_are_the_theorem_conditions(self, name, theorem, kinds):
+        # Thm5.3 reads h_bound at p = 1 whatever the request's p
+        scn = builtin(name)
+        config = CertifyConfig(theorems=(theorem,), p=2.5, epsilon=0.3, curvature=scn.curvature)
+        entry = certify(scn.system, config).entries[0]
+        p = 1.0 if theorem == "Thm5.3" else config.p
+        conds = [c.to_dict() for kind in kinds for c in check_growth(
+            scn.system, kind, epsilon=config.epsilon, p=p, curvature=scn.curvature).conditions]
+        assert entry.status != "not-applicable"
+        assert json.dumps(entry.conditions) == json.dumps(conds)
+
+    def test_an_entry_that_raises_is_not_kept(self):
+        # doubled columns break X^*X = Id: each theorem that reads the
+        # curvature rewriting or H_p (Ricci backend) meets the error itself
+        scn = builtin("paraboloid")
+        s = scn.system
+        big = replace(s, is_gradient=False,
+                      diffusion=lambda x, e: 2.0 * s.diffusion(x, e),
+                      diffusion_jacobian=lambda x, e, v: 2.0 * s.diffusion_jacobian(x, e, v))
+        config = CertifyConfig(theorems=("Cor5.2", "Thm7.1", "Thm5.1", "Thm5.3", "Prop7.2"),
+                               curvature=scn.curvature)
+        rep = certify(big, config)
+        assert [e.reason for e in rep.entries] == (
+            ["curvature rewriting needs an isometric system"] * 2
+            + ["system is not isometric at x (defect 3.00e+00)"] * 3)
+        sweeps = SweepSet(big, config)
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match="curvature rewriting"):
+                sweeps.drift_curvature
+        assert "drift_curvature" not in vars(sweeps)
 
 
 def test_tangent_directions_unit_norm():
