@@ -24,7 +24,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 from typing import Optional
@@ -32,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import criteria, estimators, semigroup
-from .errors import FlowlabError
+from .errors import FlowlabError, check_whole, is_real
 from .expressions import compile_expression, load_system
 from .flow import (
     BrownianDriver,
@@ -42,7 +41,6 @@ from .flow import (
     write_trajectory_csv,
 )
 from .geometry import CurvatureData
-from .parallel import check_paths
 from .scenarios import Scenario, builtin, oracle_convergence_study, scenario_listing
 from .semigroup import observable
 
@@ -74,8 +72,7 @@ _TESTS = {
     "an array": lambda v: isinstance(v, list),
     "an integer": lambda v: not isinstance(v, bool) and (
         isinstance(v, int) or isinstance(v, float) and v.is_integer()),
-    "a finite number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real)
-    and abs(v) < math.inf,
+    "a finite number": is_real,
     "an array of finite numbers": lambda v: isinstance(v, list)
     and all(map(_TESTS["a finite number"], v)),
     "an array of strings": lambda v: isinstance(v, list) and all(map(_TESTS["a string"], v)),
@@ -224,7 +221,7 @@ def _series_csv(header, rows):
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(cfg, scenario, workers):
-    check_paths(cfg["paths"])
+    check_whole("n_paths", cfg["paths"])
     sched = schedule_for(cfg["t"], cfg["dt"])
     x0 = np.asarray(cfg.get("x0") or _default_point(scenario), dtype=float)
     v0 = cfg.get("v0")
@@ -410,8 +407,9 @@ def run(command: str, cfg: dict, out_dir: str, fmt: str = "json", workers: int =
     scenario = _resolve_scenario(merged)
     merged.setdefault("t", scenario.default_horizon)
     handler = _HANDLERS[command]
-    # an integral float seed passes the check above; the noise driver takes an int
-    results, write_csv, invalid = handler(dict(merged, seed=int(merged["seed"])), scenario, workers)
+    # an integral float passes the check above as an integer; the library takes an int
+    ints = {key: int(val) for key, val in merged.items() if CONFIG[key][0] == "an integer"}
+    results, write_csv, invalid = handler(dict(merged, **ints), scenario, workers)
     report_path = _write_report(out_dir, command, merged, results)
     print(report_path)
     if fmt in ("csv", "both") and write_csv is not None:

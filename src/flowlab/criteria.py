@@ -18,8 +18,6 @@ point in band order that attains it up to ``TIE_TOLERANCE``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence
@@ -27,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import qmc
-from .errors import CapabilityError, ContractError, check_whole
+from .errors import CapabilityError, ContractError, check_grid, check_ladder, check_real, check_whole
 from .geometry import (
     CurvatureData,
     EmbeddedModel,
@@ -72,12 +70,6 @@ ISOMETRY_TOL = 1e-6
 # ----------------------------------------------------------------------
 # deterministic sample sets
 # ----------------------------------------------------------------------
-
-def _check_finite(name: str, value) -> None:
-    """``ContractError`` unless value is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
-        raise ContractError(f"need a finite number for {name}, got {value!r}")
-
 
 def direction_sample(dim: int, n: int) -> Array:
     """n unit directions in R^dim from an unscrambled Sobol set (deterministic).
@@ -260,6 +252,7 @@ def eval_Hp(system: VectorFieldSystem, x, v, p: float, backend: str = "auto",
     every backend's reason when none applies to ``auto``.  A constant
     diffusion's column terms are exact zeros, formed without its jacobians.
     """
+    check_real("p", p)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     nv2 = np.sum(v * v, axis=-1)
@@ -307,7 +300,7 @@ def hp_report(system: VectorFieldSystem, samples, p: float,
     reported with no values and its reason, as ``certify`` reports a theorem
     not-applicable; when two or more backends apply their max disagreement is
     reported on each of them."""
-    _check_finite("p", p)
+    check_real("p", p)
     xs = np.array([np.ravel(x) for x, _ in samples], dtype=float)
     vs = np.array([np.ravel(v) for _, v in samples], dtype=float)
     for b in backends:   # a misspelt name is malformed input, not a backend that does not apply
@@ -381,10 +374,7 @@ class SampleSet:
     def build(cls, model: ManifoldModel, radii: Sequence[float], n_directions: int) -> "SampleSet":
         """The sample set of a model on a radius ladder; ``ContractError``
         unless the ladder is nonempty, finite, > 0 and strictly increasing."""
-        r = np.array(radii, dtype=float)
-        if r.ndim != 1 or not r.size or not np.all(np.isfinite(r) & (r > 0)) or np.any(np.diff(r) <= 0):
-            raise ContractError(f"radii must be nonempty, finite, > 0 and increasing, got {radii!r}")
-        bands = sample_states(model, radii, n_directions)
+        bands = sample_states(model, check_ladder("radii", radii, low=0.0), n_directions)
         if not bands:
             raise ContractError("the sample set is empty: the model's sampler gave no points")
         x = np.concatenate(bands)
@@ -448,12 +438,15 @@ class SweepSet:
     ``drift_quad`` <DA v, v>, ``hp(p)`` H_p(v, v), ``drift_curvature``
     2<grad_v A^X, v> + sum_i <R(X^i, v)X^i, v> (0 on flat models, -Ric(v, v)
     on isometric ones).  Per point: ``coeff_sq`` sum_i |X^i|^2, ``drift_radial``
-    <x, A>, ``r2`` |x|^2, ``pole`` (r, dr, Hessian bound), ``z_radial`` <dr, Z>."""
+    <x, A>, ``r2`` |x|^2, ``pole`` (r, dr, Hessian bound), ``z_radial`` <dr, Z>.
+    An adjoint's set (:meth:`adjoint`) reads the sample set and the
+    diffusion-only entries ``grad_x_sq`` and ``coeff_sq`` of its forward set."""
 
     def __init__(self, system: VectorFieldSystem, config: "CertifyConfig"):
         self.system, self.config = system, config
         self.curvature = config.curvature or CurvatureData()
         self._samples = cache(lambda: SampleSet.build(system.model, config.radii, config.n_directions))
+        self._forward: Optional[SweepSet] = None
         self._hp: Dict[float, Array] = {}
 
     @property
@@ -461,13 +454,16 @@ class SweepSet:
         return self._samples()
 
     def adjoint(self) -> "SweepSet":
-        """The adjoint system's sweep set, on this one's sample set."""
+        """The adjoint system's sweep set; ``systems.adjoint`` keeps the
+        diffusion, so its diffusion-only entries are this set's."""
         out = SweepSet(adjoint(self.system), self.config)
-        out._samples = self._samples
+        out._samples, out._forward = self._samples, self
         return out
 
     @cached_property
     def grad_x_sq(self) -> Array:
+        if self._forward:
+            return self._forward.grad_x_sq
         return self.S.sup_dirs(lambda x, v: _column_terms(self.system, x, v, directional=False)[0])
 
     @cached_property
@@ -486,6 +482,8 @@ class SweepSet:
 
     @cached_property
     def coeff_sq(self) -> Array:
+        if self._forward:
+            return self._forward.coeff_sq
         B = as_stratonovich(self.system).diffusion_columns(self.S.x)
         return np.sum(B * B, axis=(-2, -1))
 
@@ -587,11 +585,12 @@ def check_growth(system: VectorFieldSystem, kind: str,
     if kind not in _GROWTH_KINDS:
         raise ContractError(f"unknown growth profile kind {kind!r}")
     check_whole("n_directions", n_directions)
-    _check_finite("epsilon", epsilon)
-    _check_finite("p", p)
+    check_real("epsilon", epsilon)
+    check_real("p", p)
+    radii = check_ladder("radii", radii, low=0.0)
     conds = _GROWTH_KINDS[kind](SweepSet(system, CertifyConfig(
         theorems=(), p=p, epsilon=epsilon, radii=radii, n_directions=n_directions, curvature=curvature)))
-    return GrowthProfile(kind=kind, conditions=conds, radii=[float(r) for r in radii],
+    return GrowthProfile(kind=kind, conditions=conds, radii=radii,
                          n_directions=n_directions)
 
 
@@ -653,9 +652,7 @@ def lyapunov_drift_bound(system: VectorFieldSystem, g: ScalarField, points) -> L
     with the Ito-form drift; finite k certifies E e^{c g(x_{t^tau})} <= e^{c(g(x0)+kt)}."""
     if isinstance(system.model, EmbeddedModel):
         raise CapabilityError("the drift bound is computed in flat coordinates")
-    pts = list(points)
-    if not pts:
-        raise ContractError("the drift bound needs at least one sample point")
+    pts = check_grid("points", points, system.dim)
     s = as_ito(system)
     best, best_x = -np.inf, None
     for x in pts:
@@ -739,8 +736,9 @@ def certify(system: VectorFieldSystem, config: CertifyConfig = CertifyConfig()) 
     if isinstance(config.theorems, str):
         raise ContractError(f"theorems is a sequence of theorem ids, got the string {config.theorems!r}")
     check_whole("n_directions", config.n_directions)
-    _check_finite("epsilon", config.epsilon)
-    _check_finite("p", config.p)
+    check_real("epsilon", config.epsilon)
+    check_real("p", config.p)
+    check_ladder("radii", config.radii, low=0.0)
     model = system.model
     sweeps = SweepSet(system, config)
     entries: List[TheoremVerdict] = []

@@ -27,13 +27,14 @@ Conventions shared by every estimator here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .criteria import _directions_at, eval_Hp
-from .errors import CapabilityError, ContractError
+from .errors import (CapabilityError, ContractError, check_grid, check_ladder, check_per_point,
+                     check_real, check_vector)
 from .flow import Stepper, outside_balls, propagate, run_paths, schedule_for
 from .geometry import CurvatureData, EmbeddedModel, vec_norm
 from .systems import VectorFieldSystem
@@ -41,6 +42,7 @@ from .systems import VectorFieldSystem
 Array = np.ndarray
 
 Z95 = 1.959963984540054
+CONFIDENCE = 0.95
 
 EXP_OVERFLOW = 700.0
 
@@ -58,12 +60,10 @@ class MomentEstimate:
     se: float
     n_paths: int
     seed: int
-    confidence: float = 0.95
     truncated: int = 0
     log_space: bool = False
     lower_bound_only: bool = False
     invalid: bool = False
-    extra: dict = field(default_factory=dict)
 
     def ci(self):
         return (self.value - Z95 * self.se, self.value + Z95 * self.se)
@@ -72,7 +72,7 @@ class MomentEstimate:
         lo, hi = self.ci()
         out = {
             "value": self.value, "se": self.se, "ci": [lo, hi],
-            "n_paths": self.n_paths, "confidence": self.confidence,
+            "n_paths": self.n_paths, "confidence": CONFIDENCE,
             "truncated": self.truncated, "seed": self.seed,
             "log_space": self.log_space,
         }
@@ -80,8 +80,6 @@ class MomentEstimate:
             out["lower_bound_only"] = True
         if self.invalid:
             out["invalid"] = True
-        if self.extra:
-            out["extra"] = self.extra
         return out
 
 
@@ -117,8 +115,8 @@ def _estimate_from_exponents(expo: Array, seed: int, truncated: int = 0) -> Mome
     m = float(np.mean(shifted))
     log_value = mx + float(np.log(m))
     rel_se = float(np.std(shifted) / (m * np.sqrt(n)))
-    return MomentEstimate(value=log_value, se=rel_se, n_paths=n, seed=seed,
-                          truncated=truncated, log_space=True)
+    return MomentEstimate(value=log_value, se=rel_se, n_paths=n, seed=seed, truncated=truncated,
+                          log_space=True, invalid=not np.isfinite(log_value))
 
 
 def _sup_estimate(ests: List[MomentEstimate]) -> MomentEstimate:
@@ -137,50 +135,6 @@ def _sup_estimate(ests: List[MomentEstimate]) -> MomentEstimate:
         return (np.log(e.value) if e.value > 0 else -np.inf), e.value
 
     return max(valid, key=key)
-
-
-def _observed(values, x: Array) -> Array:
-    """An observable's values at the points x (..., d) as floats, one per point."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != x.shape[:-1]:
-        raise ContractError(f"observable gave shape {values.shape} at points of shape {x.shape}; "
-                            f"expected one value per point, {x.shape[:-1]}")
-    return values
-
-
-def _one_vector(a, dim: int, what: str) -> Array:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (dim,) or not np.isfinite(a).all():
-        raise ContractError(f"{what} must be one finite vector of dimension {dim}, got {a.tolist()!r}")
-    return a
-
-
-def _grid_array(grid) -> Array:
-    try:
-        g = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError):     # ragged, or not numbers: rejected as empty
-        g = np.empty(0)
-    if g.ndim == 1:
-        g = g[None, :]
-    if g.ndim != 2 or g.size == 0 or not np.isfinite(g).all():
-        raise ContractError("grid must be a point or a nonempty array of points, with finite coordinates")
-    return g
-
-
-def _ladder(values, what: str, min_len: int = 1) -> List[float]:
-    """values as floats, checked to form a ladder: at least min_len rungs,
-    none NaN, strictly increasing."""
-    values = [float(v) for v in values]
-    if len(values) < min_len or np.isnan(values).any() \
-            or any(b <= a for a, b in zip(values, values[1:])):
-        raise ContractError(f"{what} must be strictly increasing, without NaN, "
-                            f"with at least {min_len} rung(s); got {values!r}")
-    return values
-
-
-def _check_p(p: float) -> None:
-    if not (np.isfinite(p) and p > 0):
-        raise ContractError(f"p must be finite and positive, got {p!r}")
 
 
 def _top_eigenvalue(a: Array, b: Array, c: Array) -> Array:
@@ -267,8 +221,8 @@ def estimate_sup_derivative_moment(system: VectorFieldSystem, grid, p: float, t:
     paths keep their running max up to explosion and flag the estimate as a
     lower bound.
     """
-    _check_p(p)
-    grid = _grid_array(grid)
+    check_real("p", p, low=0.0)
+    grid = check_grid("grid", grid)
     sched = schedule_for(t, dt)
 
     def chunk(x, dW):
@@ -318,10 +272,10 @@ def estimate_stopped_moment(system: VectorFieldSystem, grid, radii: Sequence[flo
 
     The diagnostic liminf proxy is the min of the three largest rungs.
     """
-    radii = _ladder(radii, "radius ladder")
-    grid = _grid_array(grid)
+    radii = check_ladder("radii", radii, low=0.0)
+    grid = check_grid("grid", grid)
     sched = schedule_for(t, dt)
-    c = np.zeros(grid.shape[1]) if center is None else _one_vector(center, grid.shape[1], "center")
+    c = np.zeros(grid.shape[1]) if center is None else check_vector("center", center, grid.shape[1])
     J = len(radii)
 
     def chunk(x, dW):
@@ -366,9 +320,8 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
     quantities, so the companion is never below the estimate up to Monte Carlo
     noise.
     """
-    if theta < 0:
-        raise ContractError("theta must be nonnegative")
-    x0 = _one_vector(x0, system.dim, "x0")
+    check_real("theta", theta, low=0.0, strict=False)
+    x0 = check_vector("x0", x0, system.dim)
     sched = schedule_for(t, dt)
     horizon = sched.horizon
 
@@ -379,7 +332,7 @@ def estimate_exponential_functional(system: VectorFieldSystem, f: Callable[[Arra
             for s in propagate(Stepper(system), x, dW, sched.dt):
                 if s.k == sched.n_steps:
                     break
-                fx = _observed(f(s.x), s.x)
+                fx = check_per_point(f(s.x), s.x)
                 integral = np.where(s.alive, integral + fx * sched.dt, integral)
                 lse = np.where(s.alive,
                                np.logaddexp(lse, theta * horizon * fx + np.log(sched.dt)),
@@ -430,9 +383,12 @@ def estimate_radial_moment(system: VectorFieldSystem, curvature: CurvatureData, 
     dist = system.model.distance_to_pole(curvature)
     if dist is None:
         raise CapabilityError("radial estimates need a closed-form pole distance or a pole point")
-    x0 = _one_vector(x0, system.dim, "x0")
+    check_real("p", p, low=0.0)
+    if k0 is not None:
+        check_real("k0", k0)
+    x0 = check_vector("x0", x0, system.dim)
     sched = schedule_for(t, dt)
-    ladder = _ladder(radius_ladder, "radius ladder", min_len=0)
+    ladder = check_ladder("radius_ladder", radius_ladder, low=0.0, min_len=0)
     keys = [f"{n_rad:g}" for n_rad in ladder]
     if len(set(keys)) < len(keys):
         raise ContractError(f"radius ladder rungs {keys!r} must differ in their report keys")
@@ -492,9 +448,9 @@ def estimate_moment_exponent(system: VectorFieldSystem, grid, p: float,
                              workers: int = 1) -> MomentExponentResult:
     """Least-squares slope of log sup_K E|T_xF_t|^p over a horizon ladder;
     negative slopes witness p-th-moment stability."""
-    _check_p(p)
-    horizons = _ladder(horizons, "horizons")
-    grid = _grid_array(grid)
+    check_real("p", p, low=0.0)
+    horizons = check_ladder("horizons", horizons)
+    grid = check_grid("grid", grid)
     sched = schedule_for(horizons[-1], dt)
     # each horizon must be a grid time, so that the moment reported for t is
     # the one evaluated at t
@@ -564,7 +520,7 @@ def estimate_girsanov_one_completeness(system: VectorFieldSystem, grid, t: float
     """sup_{x in K} E exp(1/2 int_0^T f(F_s(x)) ds) with f = sup_{|v|=1} H_1;
     finiteness is the one-completeness evidence for gradient systems."""
     f = sup_h1_field(system, n_directions=n_directions)
-    grid = _grid_array(grid)
+    grid = check_grid("grid", grid)
     sched = schedule_for(t, dt)
 
     def chunk(x, dW):

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, check_whole
+from .errors import ContractError, check_grid, check_real, check_whole
 from .geometry import ManifoldModel, sum_last, vec_norm
 from .parallel import chunk_size, run_chunks
 from .systems import VectorFieldSystem, as_stratonovich
@@ -69,8 +69,8 @@ class StepSchedule:
     n_steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0) or self.n_steps < 1:
-            raise ContractError("schedule needs a finite dt > 0 and n_steps >= 1")
+        check_real("dt", self.dt, low=0.0)
+        check_whole("n_steps", self.n_steps)
 
     @property
     def horizon(self) -> float:
@@ -81,14 +81,12 @@ class StepSchedule:
 
 
 def schedule_for(t: float, dt: float) -> StepSchedule:
-    """Grid of step dt ending at t, which must be a whole number of steps."""
-    if not (np.isfinite(t) and np.isfinite(dt) and dt > 0 and np.isfinite(t / dt)):
-        raise ContractError("horizon and step must be finite, with dt > 0")
-    n = int(round(t / dt))
-    if n < 1:
-        raise ContractError("horizon shorter than one step")
-    if abs(n * dt - t) > 1e-9 * max(1.0, t):
-        raise ContractError(f"horizon {t!r} is not a whole number of steps of {dt!r}")
+    """Grid of step dt ending at t, which must be a whole number >= 1 of steps."""
+    check_real("t", t)
+    check_real("dt", dt, low=0.0)
+    n = int(round(t / dt)) if np.isfinite(t / dt) else 0
+    if n < 1 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise ContractError(f"horizon {t!r} is not a whole number >= 1 of steps of {dt!r}")
     return StepSchedule(dt=dt, n_steps=n)
 
 
@@ -409,16 +407,6 @@ class DerivativeFlowResult(FlowResult):
     martingale: Optional[Array] = None  # (n_steps + 1, B) M_t accumulator
     quad_variation: Optional[Array] = None
     drift_accumulator: Optional[Array] = None  # a_t
-    underflow_advice: bool = False
-
-
-def _as_members(x0) -> tuple:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        return x0[None, :], True
-    if x0.ndim == 2:
-        return x0, False
-    raise ContractError("initial points must be a point or a batch of points")
 
 
 def _flow_fields(sched: StepSchedule, states: Array, last: PathState) -> dict:
@@ -442,10 +430,9 @@ def record_trajectory(system: VectorFieldSystem, x: Array, dW: Array, sched: Ste
             vs[s.k] = s.v
     if v is None:
         return FlowResult(**_flow_fields(sched, states, s))
-    underflow = bool(np.any((vec_norm(v) > 0) & (vec_norm(vs[-1]) < UNDERFLOW_FLOOR)))
     log_norms = np.log(np.maximum(vec_norm(vs), UNDERFLOW_FLOOR))
     return DerivativeFlowResult(**_flow_fields(sched, states, s), mode="direct", vs=vs,
-                                log_norms=log_norms, underflow_advice=underflow)
+                                log_norms=log_norms)
 
 
 def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
@@ -456,7 +443,7 @@ def integrate_flow(system: VectorFieldSystem, x0, sched: StepSchedule,
     """
     if driver.dim != system.noise_dim:
         raise ContractError("driver dimension does not match system noise dimension")
-    members, _ = _as_members(x0)
+    members = check_grid("x0", x0)
     return record_trajectory(system, members, driver.increments(sched), sched, r_expl=r_expl)
 
 
@@ -472,8 +459,7 @@ def integrate_derivative_flow(system: VectorFieldSystem, x0, v0, sched: StepSche
     """
     if mode not in ("direct", "log_radial"):
         raise ContractError(f"unknown derivative-flow mode {mode!r}")
-    members, _ = _as_members(x0)
-    vs0, _ = _as_members(v0)
+    members, vs0 = check_grid("x0", x0), check_grid("v0", v0)
     if vs0.shape != members.shape:
         vs0 = np.broadcast_to(vs0, members.shape).copy()
     dW = driver.increments(sched)

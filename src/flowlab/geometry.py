@@ -235,8 +235,7 @@ class EmbeddedModel(ManifoldModel):
                  retraction: Callable[[Array], Array],
                  ricci: Optional[Callable[[Array, Array], Array]] = None,
                  pole_distance: Optional[Callable[[Array], tuple]] = None,
-                 sampler: Optional[Callable[[np.random.Generator, int], Array]] = None,
-                 admissible: Optional[Callable[[Array], Array]] = None):
+                 sampler: Optional[Callable[[np.random.Generator, int], Array]] = None):
         super().__init__(ambient_dim, ambient_dim - 1)
         self.name = name
         self.normal = normal
@@ -245,10 +244,6 @@ class EmbeddedModel(ManifoldModel):
         self.ricci = ricci
         self._pole_distance = pole_distance
         self.sampler = sampler
-        self._admissible = admissible
-
-    def in_domain(self, x: Array) -> Array:
-        return np.True_ if self._admissible is None else np.asarray(self._admissible(x))
 
     def normal_project(self, x: Array, u: Array) -> Array:
         nu = self.normal(np.asarray(x, dtype=float))
@@ -439,7 +434,7 @@ def graph_model(dim: int, height: Callable[[Array], Array],
     ``hess_height(u, w)`` applies the Hessian of h at u to w.  The normal is
     (-grad h, 1)/s with s = sqrt(1 + |grad h|^2); its derivative along v is the
     tangent part of (-Hess h v_u, 0)/s.  ``extras`` (Ricci, pole distance,
-    sampler, admissible set) are passed on to ``EmbeddedModel``.
+    sampler) are passed on to ``EmbeddedModel``.
     """
 
     def normal(x):

@@ -33,14 +33,9 @@ def _trampoline(span):
     return _ACTIVE_FN(*span)
 
 
-def check_paths(n_paths) -> None:
-    """``ContractError`` unless n_paths is a whole number >= 1 (not a bool)."""
-    check_whole("n_paths", n_paths)
-
-
 def chunk_size(n_paths: int, workers: int) -> int:
     """One chunk per worker: ceil(n_paths / workers) paths."""
-    check_paths(n_paths)
+    check_whole("n_paths", n_paths)
     return -(-n_paths // max(workers, 1))
 
 
@@ -48,7 +43,7 @@ def run_chunks(n_paths: int, fn: Callable[[int, int], Dict[str, np.ndarray]],
                workers: int = 1, chunk: int = DEFAULT_CHUNK) -> Dict[str, np.ndarray]:
     """Apply fn(lo, hi) over chunks of [0, n_paths) and concatenate results."""
     global _ACTIVE_FN
-    check_paths(n_paths)
+    check_whole("n_paths", n_paths)
     spans = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     if workers <= 1 or len(spans) == 1:
         parts = [fn(lo, hi) for lo, hi in spans]

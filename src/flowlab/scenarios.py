@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_ladder, check_vector, check_whole
 from .geometry import (
     CurvatureData,
     FlatModel,
@@ -39,6 +39,9 @@ Array = np.ndarray
 
 #: oracle denominators closer than this to zero flag a singular path
 ORACLE_SINGULARITY_TOL = 1e-8
+
+#: paths a convergence study draws, at most, to find its survivors
+ORACLE_CANDIDATES = 2048
 
 
 @dataclass
@@ -366,16 +369,15 @@ def builtin(name: str, **kwargs) -> Scenario:
 
 
 def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int,
-                             seed: int, filter_threshold: float = 0.25,
-                             max_candidates: int = 2048) -> dict:
+                             seed: int, filter_threshold: float = 0.25) -> dict:
     """Strong-error convergence study of the integrator against the scenario
     oracle over a step-size ladder.
 
     All levels consume aggregated increments of one fine-grid Brownian path
     per path id, so the comparison is pathwise.  Paths whose oracle
     denominator dips below ``filter_threshold`` (singularity-adjacent) are
-    discarded before the first ``n_paths`` survivors are kept.  x0 is
-    checked by ``flow.start_points``.  Each step
+    discarded before the first ``n_paths`` survivors are kept, among the
+    first ``ORACLE_CANDIDATES`` paths.  x0 must be one admissible point.  Each step
     size in dts must divide the horizon t into a whole number of steps
     (``flow.schedule_for``), nested in the finest grid, and at least two of
     them must differ.  Returns the per-level RMS terminal errors and the
@@ -383,15 +385,12 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     (1e-13 of 1 + the RMS size of the exact end states), as for an exact
     scheme or a fixed point.
     """
-    from .flow import (BrownianDriver, NOISE_BLOCK, NoiseSource, Stepper, refill_steps,
-                       schedule_for, start_points)
+    from .flow import BrownianDriver, NOISE_BLOCK, NoiseSource, Stepper, refill_steps, schedule_for
 
     if scenario.oracle is None:
         raise ContractError(f"scenario {scenario.name} has no oracle")
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise ContractError(f"the convergence study needs a whole number of paths >= 1, "
-                            f"got n_paths={n_paths!r}")
-    dts = sorted(float(d) for d in dts)
+    check_whole("n_paths", n_paths)
+    dts = sorted(check_ladder("dts", dts, low=0.0, increasing=False))
     levels = [schedule_for(t, d) for d in dts]
     if len({lv.n_steps for lv in levels}) < 2:
         raise ContractError(f"the convergence study fits its slope to at least two distinct "
@@ -400,7 +399,8 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     if any(n_fine % lv.n_steps for lv in levels):
         raise ContractError("step sizes must nest integrally inside the horizon")
     factors = [n_fine // lv.n_steps for lv in levels]
-    x0 = start_points(scenario.system, x0)
+    x0 = check_vector("x0", x0, scenario.system.dim)
+    scenario.model.check_admissible(x0)
     m = scenario.system.noise_dim
     driver = BrownianDriver(seed, m)
 
@@ -408,10 +408,10 @@ def oracle_convergence_study(scenario: Scenario, x0, t: float, dts, n_paths: int
     # (the oracle needs them), until n_paths survive; keep only the
     # survivors' stream ids and end states
     kept, kept_T = [], []
-    for lo in range(0, max_candidates, NOISE_BLOCK):
+    for lo in range(0, ORACLE_CANDIDATES, NOISE_BLOCK):
         if len(kept) >= n_paths:
             break
-        whole = NoiseSource(driver, range(lo, min(lo + NOISE_BLOCK, max_candidates)), fine,
+        whole = NoiseSource(driver, range(lo, min(lo + NOISE_BLOCK, ORACLE_CANDIDATES)), fine,
                             block=n_fine)
         oracle = scenario.oracle(x0, whole.next_block(), dts[0])
         keep = ~oracle.singular

@@ -14,8 +14,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError
-from .estimators import MomentEstimate, _mean_estimate, _observed, _one_vector
+from .errors import check_ladder, check_per_point, check_vector, check_whole
+from .estimators import MomentEstimate, _mean_estimate
 from .flow import Stepper, propagate, run_paths, schedule_for
 from .geometry import vec_norm
 from .systems import VectorFieldSystem
@@ -32,11 +32,9 @@ class ScalarObservable:
 
     f: Callable[[Array], Array]
     df: Callable[[Array, Array], Array]
-    f_bound: Optional[float] = None
-    df_bound: Optional[float] = None
 
 
-def observable(f, df=None, f_bound=None, df_bound=None) -> ScalarObservable:
+def observable(f, df=None) -> ScalarObservable:
     """Wrap f; a missing differential is filled by a central finite difference
     (relative step 1e-5, exactly linear in |v| by construction)."""
     if df is None:
@@ -48,20 +46,20 @@ def observable(f, df=None, f_bound=None, df_bound=None) -> ScalarObservable:
             h = np.asarray(1e-5 * (1.0 + vec_norm(x)))
             hv = h[..., None] * vhat
             return (np.asarray(_f(x + hv)) - np.asarray(_f(x - hv))) * nv / (2.0 * h)
-    return ScalarObservable(f=f, df=df, f_bound=f_bound, df_bound=df_bound)
+    return ScalarObservable(f=f, df=df)
 
 
 def estimate_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x, t: float,
                  n_paths: int, seed: int, dt: float = 1e-3, stream0: int = 0,
                  workers: int = 1) -> MomentEstimate:
     """Monte Carlo mean of f(F_t(x)) 1{t < explosion} from one start x."""
-    x = _one_vector(x, system.dim, "x")
+    x = check_vector("x", x, system.dim)
     sched = schedule_for(t, dt)
 
     def chunk(xs, dW):
         for s in propagate(Stepper(system), xs, dW, sched.dt):
             pass
-        return {"vals": np.where(s.alive, _observed(obs.f(s.x), s.x), 0.0), "alive": s.alive}
+        return {"vals": np.where(s.alive, check_per_point(obs.f(s.x), s.x), 0.0), "alive": s.alive}
 
     out, trunc = run_paths(system, x, sched, n_paths, seed, chunk, stream0, workers)
     return _mean_estimate(out["vals"], seed, truncated=trunc)
@@ -73,14 +71,15 @@ def estimate_deltaPt(system: VectorFieldSystem, obs: ScalarObservable, x, v, t: 
     """Monte Carlo mean of df(F_t(x), T_xF_t(v)) 1{t < explosion} using the
     coupled derivative flow from one start x; exactly linear in v under a
     shared seed."""
-    x = _one_vector(x, system.dim, "x")
-    v = _one_vector(v, system.dim, "v")
+    x = check_vector("x", x, system.dim)
+    v = check_vector("v", v, system.dim)
     sched = schedule_for(t, dt)
 
     def chunk(xs, dW):
         for s in propagate(Stepper(system), xs, dW, sched.dt, v=np.broadcast_to(v, xs.shape).copy()):
             pass
-        return {"vals": np.where(s.alive, _observed(obs.df(s.x, s.v), s.x), 0.0), "alive": s.alive}
+        vals = check_per_point(obs.df(s.x, s.v), s.x)
+        return {"vals": np.where(s.alive, vals, 0.0), "alive": s.alive}
 
     out, trunc = run_paths(system, x, sched, n_paths, seed, chunk, stream0, workers)
     return _mean_estimate(out["vals"], seed, truncated=trunc)
@@ -137,11 +136,9 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
     at floating-point level), and the pass/fail of the 3-sigma consistency
     test at the smallest epsilon.
     """
-    x = _one_vector(x, system.dim, "x")
-    v = _one_vector(v, system.dim, "v")
-    eps_ladder = [float(e) for e in eps_ladder]
-    if not eps_ladder or not all(np.isfinite(e) and e > 0 for e in eps_ladder):
-        raise ContractError(f"eps_ladder must hold at least one finite step > 0, got {eps_ladder!r}")
+    x = check_vector("x", x, system.dim)
+    v = check_vector("v", v, system.dim)
+    eps_ladder = check_ladder("eps_ladder", eps_ladder, low=0.0, increasing=False)
     sched = schedule_for(t, dt)
     starts = np.stack([x] + [x + e * v for e in eps_ladder])   # (1+E, d)
 
@@ -153,9 +150,9 @@ def gradient_consistency_check(system: VectorFieldSystem, obs: ScalarObservable,
             pass
         ends = np.concatenate([p.x, s.x], axis=1)              # (C, 1+E, d)
         alive = np.concatenate([p.alive, s.alive], axis=1)
-        f_vals = np.where(alive, _observed(obs.f(ends), ends), 0.0)
+        f_vals = np.where(alive, check_per_point(obs.f(ends), ends), 0.0)
         xT, vT = p.x[:, 0], p.v[:, 0]
-        delta = np.where(p.alive[:, 0], _observed(obs.df(xT, vT), xT), 0.0)
+        delta = np.where(p.alive[:, 0], check_per_point(obs.df(xT, vT), xT), 0.0)
         return {"f_vals": f_vals, "delta": delta, "alive": alive}
 
     out, trunc = run_paths(system, starts, sched, n_paths, seed, chunk, stream0, workers)
@@ -184,7 +181,8 @@ def estimate_nested_Ptf(system: VectorFieldSystem, obs: ScalarObservable, x,
                         dt: float = 1e-2) -> MomentEstimate:
     """Coarse nested estimate of P_t(P_s f)(x): outer paths to t, a fresh inner
     ensemble from each endpoint to s.  Used for semigroup-property checks."""
-    x = _one_vector(x, system.dim, "x")
+    x = check_vector("x", x, system.dim)
+    check_whole("n_inner", n_inner)
     sched = schedule_for(t, dt)
 
     def chunk(xs, dW):

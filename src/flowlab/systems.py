@@ -43,8 +43,7 @@ def zero_jacobian(x: Array, v: Array) -> Array:
     return np.zeros_like(np.asarray(v, dtype=float))
 
 
-def fd_directional(f: Callable[[Array], Array], x: Array, v: Array,
-                   rel_step: float = FD_REL_STEP) -> Array:
+def fd_directional(f: Callable[[Array], Array], x: Array, v: Array) -> Array:
     """Central finite difference of f at x in direction v.
 
     The step is relative, 1e-5 * (1 + |x|), taken along the unit direction of
@@ -55,7 +54,7 @@ def fd_directional(f: Callable[[Array], Array], x: Array, v: Array,
     v = np.asarray(v, dtype=float)
     nv = np.asarray(vec_norm(v))
     vhat = v / np.where(nv == 0.0, 1.0, nv)[..., None]
-    h = np.asarray(rel_step * (1.0 + vec_norm(x)))
+    h = np.asarray(FD_REL_STEP * (1.0 + vec_norm(x)))
     hv = h[..., None] * vhat
     return (f(x + hv) - f(x - hv)) * (nv / (2.0 * h))[..., None]
 
@@ -217,7 +216,6 @@ def adjoint(system: VectorFieldSystem) -> VectorFieldSystem:
 
 def gradient_brownian_from_embedding(model: EmbeddedModel,
                                      drift_z: Optional[Callable[[Array], Array]] = None,
-                                     drift_z_jacobian: Optional[Callable[[Array, Array], Array]] = None,
                                      name: Optional[str] = None) -> VectorFieldSystem:
     """Gradient Brownian system of an isometric embedding: X(x)e = P(x)e.
 
@@ -246,7 +244,8 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
                 raise ContractError("drift Z is not tangent to the embedded manifold")
             return z
 
-        drift_jac = drift_z_jacobian or (lambda x, v: fd_directional(drift, x, v))
+        def drift_jac(x, v):
+            return fd_directional(drift, x, v)
 
     return VectorFieldSystem(
         name=name or f"gradient_brownian[{model.name}]",
@@ -256,7 +255,7 @@ def gradient_brownian_from_embedding(model: EmbeddedModel,
         calculus=STRATONOVICH, model=model,
         is_gradient=True,
         z_drift=drift_z if drift_z is not None else zero_field,
-        z_drift_jacobian=drift_z_jacobian if drift_z is not None else zero_jacobian,
+        z_drift_jacobian=None if drift_z is not None else zero_jacobian,
     )
 
 

@@ -115,6 +115,15 @@ class TestValidation:
                      out_dir=str(tmp_path), fmt="json")
         assert rc == 3
 
+    def test_a_nan_log_space_estimate_exits_3(self, monkeypatch, tmp_path):
+        # log(x) at a negative x gives a NaN exponent, which sends the mean to
+        # log space; it used to report "value": "nan" unflagged, with exit 0
+        monkeypatch.delenv("FLOWLAB_SEED", raising=False)
+        rc = cli.main(["exp-functional", "--scenario", "ou(1)", "--f", "log(x)", "--x0", "0.05",
+                       "--paths", "64", "--t", "0.1", "--dt", "0.01", "--out", str(tmp_path)])
+        est = json.loads((tmp_path / "exp-functional.json").read_text())["results"]["estimate"]
+        assert rc == 3 and est["log_space"] and est["invalid"] and est["value"] == "nan"
+
 
 #: the Draft 2020-12 schema that checked configs before the config table; the
 #: table must accept exactly what it accepts, bar the tightenings below
@@ -231,11 +240,15 @@ class TestConfigTable:
             assert cli.run("simulate", {"scenario": "ou(1)", "seed": seed, "paths": 2, "t": 0.02,
                                         "dt": 0.01}, str(tmp_path / out), fmt="csv") == 0
         assert (tmp_path / "a" / "simulate.csv").read_bytes() == (tmp_path / "b" / "simulate.csv").read_bytes()
-        # a whole-number float count reaches the library, which wants an int
-        with pytest.raises(ContractError):
-            cli.run("derivative-moments", {"paths": 3.0, "t": 0.01, "dt": 0.01}, str(tmp_path))
-        with pytest.raises(ContractError):
-            cli.run("certify", {"n_directions": 4.0}, str(tmp_path))
+        # so does every integer key: a whole-number float count used to reach
+        # the library, which wants an int, and exit 2
+        for paths, out in ((3.0, "c"), (3, "d")):
+            assert cli.run("derivative-moments", {"paths": paths, "t": 0.01, "dt": 0.01},
+                           str(tmp_path / out)) == 0
+        c, d = (json.loads((tmp_path / out / "derivative-moments.json").read_text()) for out in "cd")
+        assert c["results"] == d["results"] and c["config"]["paths"] == 3.0
+        assert isinstance(c["config"]["paths"], float)
+        assert cli.run("certify", {"n_directions": 4.0, "theorems": ["Cor5.2"]}, str(tmp_path / "e")) == 0
 
     @pytest.mark.parametrize("command, text, flags", [
         # certify with p = NaN used to report all four theorems "certified"

@@ -26,6 +26,7 @@ from flowlab import (
     estimate_radial_moment,
     estimate_stopped_moment,
     estimate_sup_derivative_moment,
+    eval_Hp,
     gradient_consistency_check,
     hp_report,
     integrate_flow,
@@ -124,15 +125,15 @@ def test_the_oracle_test_command_exits_2_on_a_bad_ladder(tmp_path, capsys, flags
     assert rc == 2 and "flowlab:" in capsys.readouterr().err
 
 
-def test_simulate_needs_a_whole_number_of_paths(tmp_path):
-    # {"paths": 3.0} passes the config check and used to end in a raw
-    # TypeError from range(); simulate now checks its count before any draw,
-    # as every other Monte Carlo command does
+def test_simulate_needs_a_whole_number_of_paths():
+    # a count of 3.0 used to end in a raw TypeError from range(); simulate
+    # checks its count before any draw, as every other Monte Carlo command
+    # does (cli.run hands it the config's integral float as an int)
     from flowlab import cli
 
+    cfg = {"scenario": "ou(1)", "paths": 3.0, "t": 0.1, "dt": 0.01, "seed": 0}
     with pytest.raises(ContractError):
-        cli.run("simulate", {"scenario": "ou(1)", "paths": 3.0, "t": 0.1, "dt": 0.01}, str(tmp_path))
-    assert not list(tmp_path.iterdir())
+        cli._cmd_simulate(cfg, builtin("ou(1)"), 1)
 
 
 def test_the_noise_source_is_read_forward():
@@ -642,3 +643,50 @@ def test_the_drift_bound_needs_a_point():
     g = scalar_field(lambda x: np.sum(x * x, axis=-1))
     with pytest.raises(ContractError):
         lyapunov_drift_bound(builtin("ou(1)").system, g, [])
+
+
+def _ou_kw():
+    return dict(n_paths=3, seed=0, dt=0.01)
+
+
+#: one bad value of each kind of input, per entry point: each used to run, or
+#: to raise a raw Python error, before every entry point took its checks from
+#: flowlab.errors
+CONTRACT_CASES = {
+    "sup-moment p list": lambda ou: estimate_sup_derivative_moment(ou, [1.0], [1.0, 2.0], 0.02, **_ou_kw()),
+    "sup-moment p string": lambda ou: estimate_sup_derivative_moment(ou, [1.0], "2", 0.02, **_ou_kw()),
+    "sup-moment p bool": lambda ou: estimate_sup_derivative_moment(ou, [1.0], True, 0.02, **_ou_kw()),
+    "exp-functional theta nan": lambda ou: estimate_exponential_functional(
+        ou, lambda x: x[..., 0], [0.5], 0.02, math.nan, **_ou_kw()),
+    "exp-functional theta inf": lambda ou: estimate_exponential_functional(
+        ou, lambda x: x[..., 0], [0.5], 0.02, math.inf, **_ou_kw()),
+    "exp-functional theta string": lambda ou: estimate_exponential_functional(
+        ou, lambda x: x[..., 0], [0.5], 0.02, "a", **_ou_kw()),
+    "radial p nan": lambda ou: estimate_radial_moment(ou, CurvatureData(pole=np.zeros(1)), [0.5],
+                                                      math.nan, 0.02, **_ou_kw()),
+    "radial p negative": lambda ou: estimate_radial_moment(ou, CurvatureData(pole=np.zeros(1)), [0.5],
+                                                           -1.0, 0.02, **_ou_kw()),
+    "radial k0 nan": lambda ou: estimate_radial_moment(ou, CurvatureData(pole=np.zeros(1)), [0.5],
+                                                       1.0, 0.02, k0=math.nan, **_ou_kw()),
+    "stopped radii bool": lambda ou: estimate_stopped_moment(ou, [1.0], [True, 2.0], 0.02, **_ou_kw()),
+    "stopped radii strings": lambda ou: estimate_stopped_moment(ou, [1.0], ["1", "2"], 0.02, **_ou_kw()),
+    "stopped radii negative": lambda ou: estimate_stopped_moment(ou, [1.0], [-1.0, 2.0], 0.02, **_ou_kw()),
+    "exponent horizons strings": lambda ou: estimate_moment_exponent(ou, [1.0], 1.0, ["0.1", "0.2"],
+                                                                     **_ou_kw()),
+    "growth radii strings": lambda ou: check_growth(ou, "linear_growth", radii=("1", "2")),
+    "gradient eps bool": lambda ou: gradient_consistency_check(
+        ou, observable(lambda x: x[..., 0]), [0.5], [1.0], 0.02, eps_ladder=[True], **_ou_kw()),
+    "oracle n_paths bool": lambda ou: oracle_convergence_study(
+        builtin("translation(2)"), [0.0, 0.0], 0.02, [4e-3, 1e-3], True, seed=0),
+    "drift bound nan point": lambda ou: lyapunov_drift_bound(
+        ou, scalar_field(lambda x: np.sum(x * x, axis=-1)), [[math.nan]]),
+    "H_p order nan": lambda ou: eval_Hp(ou, np.ones(1), np.ones(1), math.nan),
+    "schedule fractional steps": lambda ou: StepSchedule(0.1, 2.5),
+    "schedule bool steps": lambda ou: StepSchedule(0.1, True),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_every_entry_point_shares_one_contract_per_kind(case):
+    with pytest.raises(ContractError):
+        CONTRACT_CASES[case](builtin("ou(1)").system)
